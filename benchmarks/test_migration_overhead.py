@@ -13,8 +13,6 @@ Three guarantees around the placement layer:
    less energy per query than the plain ECL.
 """
 
-import pickle
-
 from repro.dbms.engine import DatabaseEngine
 from repro.hardware.machine import Machine
 from repro.loadprofiles import constant_profile
@@ -26,7 +24,12 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "sim"))
-from golden_config import GOLDEN_POLICIES, golden_configuration, golden_path
+from golden_config import (
+    GOLDEN_CELLS,
+    GOLDEN_POLICIES,
+    load_goldens,
+    result_digest,
+)
 
 from _shared import heading
 
@@ -36,23 +39,24 @@ def test_static_placement_matches_goldens(run_once):
 
     def run_all():
         return {
-            policy: run_experiment(golden_configuration(policy))
+            policy: run_experiment(GOLDEN_CELLS[policy].configuration())
             for policy in GOLDEN_POLICIES
         }
 
     results = run_once(run_all)
+    goldens = load_goldens()
     heading("Placement refactor — static placement vs pinned goldens")
     for policy in GOLDEN_POLICIES:
-        with open(golden_path(policy), "rb") as fh:
-            golden = pickle.load(fh)
+        golden = goldens[policy]
         fresh = results[policy]
+        golden_energy = float.fromhex(golden["total_energy_j"])
         print(
-            f"{policy:10s} golden E={golden.total_energy_j:10.4f} J   "
+            f"{policy:10s} golden E={golden_energy:10.4f} J   "
             f"fresh E={fresh.total_energy_j:10.4f} J"
         )
-        assert fresh.total_energy_j == golden.total_energy_j
-        assert fresh.queries_completed == golden.queries_completed
-        assert fresh.latencies_s == golden.latencies_s
+        assert fresh.total_energy_j == golden_energy
+        assert fresh.queries_completed == golden["queries_completed"]
+        assert result_digest(fresh) == golden["result_sha256"]
 
 
 def test_single_migration_completes_within_bounded_ticks():

@@ -6,13 +6,12 @@ Historically the runtime's cost constants lived as module-level floats
 per-run tuning require monkeypatching.  :class:`EngineConfig` promotes
 them to fields with the historical values as defaults — a default-built
 config reproduces the old constants bit-for-bit — and adds the knobs of
-the partition-migration cost model.
+the partition-migration cost model.  Every field is a cost or size,
+so every field must be positive.
 
-``vector_messages`` selects the struct-of-arrays message plane: the
-intra-socket hubs store modeled messages as parallel numpy columns and
-the workers drain them with vectorized budget cuts.  The SoA plane is
-bit-identical to the scalar object plane (same drain order, tie-breaks,
-and float folds), so the flag is purely a kill switch / A-B oracle.
+How messages are stored and drained is not a knob: the runtime has one
+message plane (struct-of-arrays columns, see
+:mod:`repro.dbms.intra_socket`).
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class EngineConfig:
         internode_migration_instructions_per_byte: per-byte, per-side
             cost of copying partition data across the network during an
             inter-node migration — several times the QPI copy cost.
-        vector_messages: run the message plane on struct-of-arrays
-            columns (the vectorized hot path).  ``False`` falls back to
-            the scalar per-message object plane; both produce
-            bit-identical results.
     """
 
     worker_quantum_instructions: float = 200_000.0
@@ -67,13 +62,10 @@ class EngineConfig:
     internode_instructions_per_message: float = 600.0
     internode_instructions_per_flush: float = 1800.0
     internode_migration_instructions_per_byte: float = 2.0
-    vector_messages: bool = True
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "bool" or isinstance(value, bool):
-                continue
             if not value > 0:
                 raise SimulationError(
                     f"EngineConfig.{f.name} must be > 0, got {value!r}"

@@ -118,9 +118,7 @@ class DatabaseEngine:
                     f"socket {sock.socket_id} holds no partitions; "
                     f"increase partition_count (got {partition_count})"
                 )
-            self.hubs[sock.socket_id] = IntraSocketHub(
-                sock.socket_id, pids, vectorized=self.config.vector_messages
-            )
+            self.hubs[sock.socket_id] = IntraSocketHub(sock.socket_id, pids)
 
         self.router = InterSocketRouter(
             self.hubs,

@@ -13,18 +13,17 @@ and *release* it again.  Consequences the implementation enforces:
 * within a socket, load balancing is implicit: free workers grab whichever
   owned-by-nobody partition has pending work, oldest head first.
 
-The hub runs in one of two storage modes.  The classic *scalar* mode
-keeps one ``deque[Message]`` per partition.  The *vectorized* mode
-(``vectorized=True``, selected by ``EngineConfig.vector_messages``)
-stores the high-rate modeled message stream as struct-of-arrays columns
-per partition (instruction cost, bytes, query id, enqueue seq) and keeps
-an object side lane for everything that needs a real ``Message`` (real
-operators, RESULT messages, tagged work).  A per-hub enqueue sequence
-number merges the two lanes into one FIFO stream, so drain order, demand
-accounting, and ownership behave bit-identically to the scalar mode —
-the accounting folds replay the scalar chained arithmetic operation for
-operation via ``np.add.accumulate``/``np.subtract.accumulate`` (strict
-left folds).
+Each partition queue has two lanes.  The high-rate modeled message
+stream lives in struct-of-arrays columns (instruction cost, bytes, query
+id, enqueue seq), fed in bulk by :meth:`IntraSocketHub.enqueue_bank`;
+everything that needs a real ``Message`` (real operators, RESULT
+messages, tagged work, single enqueues) rides an object side lane.  A
+per-hub enqueue sequence number merges the two lanes into one FIFO
+stream, so drain order, demand accounting and ownership are those of a
+single per-message queue.  The accounting folds are strict left folds
+(``np.add.accumulate``/``np.subtract.accumulate``, or plain chained
+arithmetic below :data:`SMALL_RUN`), so the pending sums are the exact
+floats a message-at-a-time loop would produce.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.dbms.messages import Message, WorkCost
 #: Default number of messages a worker drains per ownership acquisition.
 DEFAULT_BATCH_SIZE = 64
 
-#: Batch size below which the vectorized paths fall back to scalar
+#: Batch size below which the column paths fall back to scalar
 #: chained arithmetic: numpy's fixed per-call overhead (~1µs) exceeds
 #: the loop cost for short runs, and the scalar chain computes the
 #: exact same left folds, so the cutover is invisible to results.
@@ -62,7 +61,7 @@ def _message_instructions(message: Message) -> float:
 
 
 class _SoaQueue:
-    """Struct-of-arrays queue of one partition (vectorized hubs only).
+    """Struct-of-arrays queue of one partition.
 
     Modeled, untagged WORK messages live in four parallel columns
     (instruction cost, bytes accessed, query id, enqueue seq) in the
@@ -120,34 +119,15 @@ class _SoaQueue:
             np.searchsorted(self.seq[self.head : self.tail], first_obj_seq)
         )
 
-    def front_seq(self) -> int | None:
-        """Seq of the queue-head entry, or None when empty."""
-        compact = self.seq[self.head] if self.tail > self.head else None
-        obj = self.objs[0][0] if self.objs else None
-        if compact is None:
-            return obj
-        if obj is None:
-            return int(compact)
-        return int(min(compact, obj))
-
 
 class IntraSocketHub:
     """Message queues and the partition-ownership protocol of one socket."""
 
-    def __init__(
-        self,
-        socket_id: int,
-        partition_ids: Iterable[int],
-        vectorized: bool = False,
-    ):
+    def __init__(self, socket_id: int, partition_ids: Iterable[int]):
         self.socket_id = socket_id
-        self._vectorized = vectorized
-        if vectorized:
-            self._queues: dict[int, _SoaQueue] = {
-                pid: _SoaQueue() for pid in partition_ids
-            }
-        else:
-            self._queues = {pid: deque() for pid in partition_ids}
+        self._queues: dict[int, _SoaQueue] = {
+            pid: _SoaQueue() for pid in partition_ids
+        }
         if not self._queues:
             raise MessagingError(f"socket {socket_id} hub needs >= 1 partition")
         #: partition_id -> worker_id of the current owner.
@@ -165,9 +145,9 @@ class IntraSocketHub:
         self._tag_version = 0
         self._tag_cache: list[tuple[object, float]] = []
         self._tag_cache_version = -1
-        #: Hub-wide enqueue sequence (vectorized mode): stamps both lanes
-        #: so per-partition drain order merges compact columns and object
-        #: messages back into arrival order.
+        #: Hub-wide enqueue sequence: stamps both lanes so per-partition
+        #: drain order merges compact columns and object messages back
+        #: into arrival order.
         self._next_seq = 0
         #: Arrival order of partitions — the tie-break of
         #: :meth:`acquire_partition` (matches the original dict-scan order
@@ -201,11 +181,6 @@ class IntraSocketHub:
     # -- queue side -----------------------------------------------------------
 
     @property
-    def vectorized(self) -> bool:
-        """Whether this hub stores modeled messages as SoA columns."""
-        return self._vectorized
-
-    @property
     def partition_ids(self) -> tuple[int, ...]:
         """Partitions homed on this socket."""
         return tuple(self._queues)
@@ -223,10 +198,10 @@ class IntraSocketHub:
     def enqueue(self, message: Message) -> None:
         """Buffer a message for its target partition.
 
-        In vectorized mode a single message always takes the object side
-        lane — the compact columns are fed exclusively through
-        :meth:`enqueue_bank`, which is what keeps the column population
-        (single-stage, untagged, bank-fabricated) trivially uniform.
+        A single message always takes the object side lane — the compact
+        columns are fed exclusively through :meth:`enqueue_bank`, which
+        is what keeps the column population (single-stage, untagged,
+        bank-fabricated) trivially uniform.
 
         Raises:
             MessagingError: if the partition is not homed on this socket.
@@ -237,12 +212,9 @@ class IntraSocketHub:
                 f"partition {message.target_partition} is not on socket "
                 f"{self.socket_id}"
             )
-        if self._vectorized:
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            queue.objs.append((seq, message))
-        else:
-            queue.append(message)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        queue.objs.append((seq, message))
         self._pending_messages += 1
         instructions = _message_instructions(message)
         self._pending_instructions += instructions
@@ -261,17 +233,13 @@ class IntraSocketHub:
         The columns are parallel — numpy arrays, or plain Python lists
         for small banks (the router's scalar fast path hands lists
         through so tiny banks never touch numpy at all) — one entry per
-        message, in arrival order.  Only valid on a vectorized hub.  The
-        demand accounting replays the scalar per-message folds (one
-        strict left fold per batch), so the pending sums stay
-        bit-identical to enqueueing one by one.
+        message, in arrival order.  The demand accounting replays the
+        per-message folds (one strict left fold per batch), so the
+        pending sums stay bit-identical to enqueueing one by one.
 
         Raises:
-            MessagingError: on a scalar hub or for partitions not homed
-                on this socket.
+            MessagingError: for partitions not homed on this socket.
         """
-        if not self._vectorized:
-            raise MessagingError("enqueue_bank requires a vectorized hub")
         n = len(targets)
         if n == 0:
             return
@@ -352,7 +320,7 @@ class IntraSocketHub:
         self._pending_messages += n
         # The pending fold is the per-hub subsequence of the global
         # message order, which is exactly the input array order; an
-        # accumulate is the same chained left fold the scalar loop runs.
+        # accumulate is the same chained left fold a per-message loop runs.
         self._pending_instructions = float(
             np.add.accumulate(
                 np.concatenate(((self._pending_instructions,), instructions))
@@ -486,11 +454,10 @@ class IntraSocketHub:
     ) -> list[Message]:
         """Drain up to ``batch_size`` messages of an owned partition.
 
-        On a vectorized hub compact entries are materialized back into
-        :class:`Message` objects — the vectorized worker drains through
+        Compact entries are materialized back into :class:`Message`
+        objects — the worker drains through
         :meth:`modeled_run`/:meth:`consume_modeled` instead and never
-        pays this; the method remains for API compatibility (tests,
-        external drivers).
+        pays this; the method serves tests and external drivers.
 
         Raises:
             OwnershipError: if the caller does not own the partition.
@@ -500,16 +467,8 @@ class IntraSocketHub:
             raise MessagingError(f"batch_size must be >= 1, got {batch_size}")
         queue = self._queues[partition_id]
         batch = []
-        if self._vectorized:
-            while len(queue) and len(batch) < batch_size:
-                batch.append(self._materialize_head(partition_id, queue))
-        else:
-            while queue and len(batch) < batch_size:
-                message = queue.popleft()
-                instructions = _message_instructions(message)
-                self._pending_instructions -= instructions
-                self._tally_tag(message, -instructions)
-                batch.append(message)
+        while len(queue) and len(batch) < batch_size:
+            batch.append(self._materialize_head(partition_id, queue))
         self._pending_messages -= len(batch)
         if not self._pending_messages:
             self._pending_instructions = 0.0  # kill float drift at empty
@@ -539,27 +498,7 @@ class IntraSocketHub:
         self._tally_tag(message, -instructions)
         return message
 
-    def requeue_front(self, worker_id: int, messages: list[Message]) -> None:
-        """Put unprocessed messages back at the head of their queues.
-
-        Used when a worker's instruction budget runs out mid-batch; the
-        caller must still own the partitions involved.
-        """
-        for message in reversed(messages):
-            self._require_owner(worker_id, message.target_partition)
-            queue = self._queues[message.target_partition]
-            if self._vectorized:
-                front = queue.front_seq()
-                seq = (front - 1) if front is not None else self._next_seq
-                queue.objs.appendleft((seq, message))
-            else:
-                queue.appendleft(message)
-            self._pending_messages += 1
-            instructions = _message_instructions(message)
-            self._pending_instructions += instructions
-            self._tally_tag(message, instructions)
-
-    # -- vectorized drain ------------------------------------------------------
+    # -- drain -----------------------------------------------------------------
 
     def modeled_run(self, partition_id: int) -> int:
         """Length of the compact (modeled, untagged) run at the queue head.
@@ -608,9 +547,10 @@ class IntraSocketHub:
         Returns the consumed query-id column (a list for small runs, an
         array copy otherwise).  With
         ``round_trip=True`` the entry *after* the consumed run replays
-        the scalar worker's budget-cut round trip — dequeued and
-        immediately requeued (the float folds of that detour are part of
-        the bit-identity contract) — and stays at the queue head.
+        the worker's budget-cut round trip of a message-at-a-time drain —
+        dequeued and immediately requeued (the float folds of that detour
+        are part of the bit-identity contract) — and stays at the queue
+        head.
 
         Raises:
             OwnershipError: if the caller does not own the partition.
@@ -726,8 +666,10 @@ class IntraSocketHub:
     ) -> None:
         """Requeue a just-popped object-lane message at the queue head.
 
-        The budget-cut round trip of the vectorized worker: the folds
-        mirror :meth:`requeue_front` exactly (same chained adds).
+        The worker's budget-cut round trip: the message keeps its seq,
+        so it merges back in front of everything enqueued after it, and
+        the pending folds add its cost straight back.  Popping several
+        messages and unpopping them in reverse restores the queue.
         """
         self._require_owner(worker_id, partition_id)
         self._queues[partition_id].objs.appendleft((seq, message))
@@ -787,11 +729,10 @@ class IntraSocketHub:
 
         The partition must be unowned (quiesced).  Its messages leave the
         pending accounting — the caller ships them to the new home socket
-        through the router, so they are in transit, not lost.  On a
-        vectorized hub the compact entries are materialized back into
-        :class:`Message` objects (in queue order, merged with the object
-        lane) — an evicted queue travels the scalar transfer path either
-        way.
+        through the router, so they are in transit, not lost.  The
+        compact entries are materialized back into :class:`Message`
+        objects (in queue order, merged with the object lane): an evicted
+        queue travels the per-message transfer path.
 
         Raises:
             OwnershipError: while a worker still owns the partition.
@@ -803,11 +744,9 @@ class IntraSocketHub:
                 f"cannot evict partition {partition_id}: owned by worker "
                 f"{owner}"
             )
-        queue = self._queues.pop(partition_id)
-        if self._vectorized:
-            messages = self._materialize_all(partition_id, queue)
-        else:
-            messages = list(queue)
+        messages = self._materialize_all(
+            partition_id, self._queues.pop(partition_id)
+        )
         for message in messages:
             instructions = _message_instructions(message)
             self._pending_instructions -= instructions
@@ -866,7 +805,7 @@ class IntraSocketHub:
                 f"partition {partition_id} is already on socket "
                 f"{self.socket_id}"
             )
-        self._queues[partition_id] = _SoaQueue() if self._vectorized else deque()
+        self._queues[partition_id] = _SoaQueue()
         self._order[partition_id] = self._next_order
         self._next_order += 1
 

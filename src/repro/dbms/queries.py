@@ -26,7 +26,7 @@ def take_query_ids(count: int) -> int:
 
     Bank fabrication consumes the same global id stream as per-object
     :class:`Query` construction (one id per query, in arrival order), so
-    a vectorized run assigns exactly the ids the scalar run would.
+    a bank assigns exactly the ids a list of queries would.
     """
     first = next(_query_ids)
     for _ in range(count - 1):

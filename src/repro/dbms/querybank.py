@@ -3,8 +3,8 @@
 A :class:`QueryBank` is the columnar counterpart of a list of
 :class:`~repro.dbms.queries.Query` objects: ``count`` consecutive query
 ids, each a single stage of ``fan_out`` modeled WORK messages, stored as
-parallel numpy arrays.  Workloads fabricate banks on the vectorized load
-path (:meth:`~repro.workloads.base.Workload.make_modeled_bank`), the
+parallel numpy arrays.  Workloads fabricate banks on the load path
+(:meth:`~repro.workloads.base.Workload.make_modeled_bank`), the
 engine routes them via :meth:`~repro.dbms.engine.DBMSEngine.submit_bank`,
 and the messages live out their life in the hubs' compact columns —
 no per-message Python objects exist unless a migration evicts them.
@@ -12,7 +12,7 @@ no per-message Python objects exist unless a migration evicts them.
 Banks are restricted by construction to what the compact plane can
 represent bit-identically: single stage, modeled costs, no workload
 characteristics tag (untagged messages blend under the socket's default
-characteristics, exactly like the scalar modeled KV/TATP paths).
+characteristics, exactly like per-object modeled KV/TATP queries).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class QueryBank:
     Message ``j`` of query ``i`` (ids ``first_query_id + i``) targets
     ``targets[i * fan_out + j]`` with cost
     ``(instructions[...], bytes_accessed[...])``; the message axis is
-    laid out query-major, matching the order the scalar path would
-    submit the per-query message lists.
+    laid out query-major, matching the order in which per-object
+    queries would submit their message lists.
     """
 
     __slots__ = (

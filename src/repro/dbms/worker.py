@@ -42,7 +42,7 @@ class WorkerState(enum.Enum):
 class CompletedRun:
     """A drained run of compact (modeled, untagged) messages.
 
-    The vectorized worker returns these inside its completion list in
+    The worker returns these inside its completion list in
     place of per-message objects: one run covers ``len(query_ids)``
     consecutively drained messages of one partition (a list for small
     runs, an id-column array otherwise).  The engine settles them
@@ -162,85 +162,23 @@ class Worker:
         hub: IntraSocketHub,
         partitions: PartitionMap,
         budget_instructions: float,
-    ) -> tuple[float, list[Message]]:
+    ) -> tuple[float, list]:
         """Process messages until the instruction budget is exhausted.
 
-        Returns ``(instructions_consumed, completed_messages)``.  Modeled
-        messages are charged their pre-computed cost and only consumed if
-        it fits the remaining budget; real operations execute first and
-        may overdraw the budget by one message (their cost is only known
+        Returns ``(instructions_consumed, completed)``.  Modeled messages
+        are charged their pre-computed cost and only consumed if it fits
+        the remaining budget; real operations execute first and may
+        overdraw the budget by one message (their cost is only known
         afterwards), mirroring how a real worker cannot preempt an
         operator mid-flight.
 
-        Raises:
-            MessagingError: if called on a parked worker.
-        """
-        if not self.is_active:
-            raise MessagingError(f"worker {self.worker_id} is parked")
-        if hub.vectorized:
-            return self._process_quantum_soa(hub, partitions, budget_instructions)
-        remaining = budget_instructions
-        completed: list[Message] = []
-        out_of_budget = False
-        # Statistics accumulate in locals and fold into the array-backed
-        # counters once per quantum: the per-message hot path stays free
-        # of attribute writes and numpy scalar churn.
-        acquisitions = 0
-        instructions = 0.0
-        bytes_accessed = 0.0
-
-        while remaining > 0 and not out_of_budget:
-            partition_id = hub.acquire_partition(self.worker_id)
-            if partition_id is None:
-                break
-            acquisitions += 1
-            try:
-                # Messages are pulled one at a time: dequeuing a large
-                # batch up front would only push the unprocessed tail back
-                # (the budget decides how far we get, not the batch size),
-                # and that round trip dominated the tick cost on deep
-                # queues.  The processing decisions are identical.
-                while remaining > 0:
-                    batch = hub.dequeue_batch(self.worker_id, partition_id, 1)
-                    if not batch:
-                        break
-                    message = batch[0]
-                    if message.is_modeled:
-                        cost = message.charged_cost()
-                        if cost.instructions > remaining and completed:
-                            # Budget exhausted: push the message back.
-                            hub.requeue_front(self.worker_id, batch)
-                            out_of_budget = True
-                            break
-                    else:
-                        cost = self._execute_real(message, partitions)
-                    instructions += cost.instructions
-                    bytes_accessed += cost.bytes_accessed
-                    remaining -= cost.instructions
-                    completed.append(message)
-            finally:
-                hub.release_partition(self.worker_id, partition_id)
-
-        if acquisitions:
-            self.stats.add_quantum(
-                acquisitions, len(completed), instructions, bytes_accessed
-            )
-        return budget_instructions - remaining, completed
-
-    def _process_quantum_soa(
-        self,
-        hub: IntraSocketHub,
-        partitions: PartitionMap,
-        budget_instructions: float,
-    ) -> tuple[float, list]:
-        """Vectorized quantum over a SoA hub.
-
-        Replays the scalar per-message loop exactly, but drains each
-        compact run with one ``np.subtract.accumulate`` budget cut
-        instead of a Python loop.  With ``d`` the running-budget chain
-        over the run's costs (``d[0]`` = budget before the run), message
-        ``i`` is consumed plainly iff ``d[i] > 0 and d[i+1] >= 0``; the
-        first violation ``k`` lands in one of three scalar cases:
+        The semantics are those of a message-at-a-time loop, but each
+        compact run is drained with one ``np.subtract.accumulate`` budget
+        cut (plain chained arithmetic below :data:`SMALL_RUN`).  With
+        ``d`` the running-budget chain over the run's costs (``d[0]`` =
+        budget before the run), message ``i`` is consumed plainly iff
+        ``d[i] > 0 and d[i+1] >= 0``; the first violation ``k`` lands in
+        one of three cases:
 
         * ``d[k] == 0`` — the budget died exactly at ``k``: consume the
           ``k`` head messages, the quantum ends without a requeue;
@@ -248,20 +186,26 @@ class Worker:
           next message (dequeue + requeue, float folds included), flag
           ``out_of_budget``;
         * overflow on a fresh quantum (``k == 0``, nothing consumed yet)
-          — overdraw: charge the head message anyway, mirroring how a
-          real worker cannot preempt an operator mid-flight.
+          — overdraw: charge the head message anyway.
 
-        The completion list interleaves :class:`CompletedRun` entries
-        (compact runs) with plain :class:`Message` objects from the
-        object lane, in exact drain order.
+        ``completed`` interleaves :class:`CompletedRun` entries (compact
+        runs) with plain :class:`Message` objects from the object lane,
+        in exact drain order.
+
+        Raises:
+            MessagingError: if called on a parked worker.
         """
+        if not self.is_active:
+            raise MessagingError(f"worker {self.worker_id} is parked")
         remaining = budget_instructions
         completed: list = []
         out_of_budget = False
+        # Statistics accumulate in locals and fold into the array-backed
+        # counters once per quantum.
         acquisitions = 0
         instructions = 0.0
         bytes_accessed = 0.0
-        count = 0  # messages consumed this quantum (scalar `completed`)
+        count = 0  # messages consumed this quantum
         worker_id = self.worker_id
 
         while remaining > 0 and not out_of_budget:
@@ -331,8 +275,8 @@ class Worker:
                                 round_trip = False
                         if k:
                             b = hub.run_bytes(partition_id, run)
-                            # Stats and budget replay the scalar chained
-                            # adds as strict left folds.
+                            # Stats and budget replay the per-message
+                            # chained adds as strict left folds.
                             instructions = float(
                                 np.add.accumulate(
                                     np.concatenate(((instructions,), c[:k]))

@@ -108,14 +108,20 @@ class StepSignal(Signal):
     def __init__(self, points: list[tuple[float, float]], name: str = "step"):
         if not points:
             raise SimulationError("step signal needs >= 1 control point")
-        times = [float(t) for t, _ in points]
+        try:
+            times = [float(t) for t, _ in points]
+            levels = [float(v) for _, v in points]
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(f"non-numeric control point: {exc}") from None
+        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(levels)):
+            raise SimulationError("control points must be finite numbers")
         if times != sorted(times):
             raise SimulationError("control points must be time-ordered")
         if len(set(times)) != len(times):
             raise SimulationError("control points must have distinct times")
         self._name = name
         self._times = np.array(times, dtype=np.float64)
-        self._levels = np.array([v for _, v in points], dtype=np.float64)
+        self._levels = np.array(levels, dtype=np.float64)
 
     @property
     def name(self) -> str:
@@ -263,7 +269,13 @@ def _rows_from_jsonl(path: Path) -> list[tuple[float, float]]:
                 raise SimulationError(
                     f"{path}:{lineno}: need 'time_s' (or 't') and 'value'"
                 )
-            rows.append((float(t), float(v)))
+            try:
+                rows.append((float(t), float(v)))
+            except (TypeError, ValueError):
+                raise SimulationError(
+                    f"{path}:{lineno}: 'time_s' and 'value' must be numbers, "
+                    f"got {t!r}, {v!r}"
+                ) from None
     return rows
 
 

@@ -390,12 +390,6 @@ class Machine:
         """Current power state of one node."""
         return self._node_state[node]
 
-    def node_is_dark(self, socket_id: int) -> bool:
-        """Whether a socket's node is OFF or BOOTING (not serving work)."""
-        return self._node_state[self._socket_node[socket_id]] is not (
-            NodePowerState.ON
-        )
-
     def power_off_node(self, node: int) -> None:
         """Power a whole node off.
 

@@ -296,10 +296,5 @@ def get_preset(name: str) -> HaswellEPParameters:
     return factory()
 
 
-def registered_presets() -> tuple[str, ...]:
-    """Registered preset names, in registration order."""
-    return tuple(_PRESETS)
-
-
 register_preset("haswell_ep", haswell_ep_two_socket)
 register_preset("wimpy_node", wimpy_node)

@@ -38,11 +38,6 @@ class HardwareThread:
     core_id: int
     sibling_index: int
 
-    @property
-    def is_hyperthread_sibling(self) -> bool:
-        """True if this is the second logical thread of its physical core."""
-        return self.sibling_index > 0
-
 
 @dataclass(frozen=True)
 class PhysicalCore:

@@ -58,17 +58,24 @@ class TraceReplayProfile(LoadProfile):
         duration_s: float | None = None,
         reference_qps: float | None = None,
     ):
-        times = np.sort(np.asarray(arrival_times_s, dtype=np.float64))
+        try:
+            times = np.sort(np.asarray(arrival_times_s, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(f"non-numeric arrival time: {exc}") from None
         if times.size == 0:
             raise SimulationError("replay trace contains no arrivals")
+        if not np.all(np.isfinite(times)):
+            raise SimulationError("arrival times must be finite numbers")
         if times[0] < 0:
             raise SimulationError(
                 f"arrival times must be >= 0, got {times[0]}"
             )
         if duration_s is None:
             duration_s = float(times[-1])
-        if duration_s <= 0:
-            raise SimulationError(f"duration must be > 0, got {duration_s}")
+        if not (0 < duration_s < float("inf")):
+            raise SimulationError(
+                f"duration must be finite and > 0, got {duration_s}"
+            )
         if times[-1] > duration_s:
             raise SimulationError(
                 f"arrival at {float(times[-1])} s exceeds the "
@@ -89,9 +96,9 @@ class TraceReplayProfile(LoadProfile):
         rates = counts / bin_s
         if reference_qps is None:
             reference_qps = float(rates.max()) or 1.0
-        if reference_qps <= 0:
+        if not (0 < reference_qps < float("inf")):
             raise SimulationError(
-                f"reference_qps must be > 0, got {reference_qps}"
+                f"reference_qps must be finite and > 0, got {reference_qps}"
             )
         self.reference_qps = float(reference_qps)
         self._signal = StepSignal(
@@ -179,21 +186,26 @@ class TraceReplayProfile(LoadProfile):
         source_profile: str | None = None
         for record in _jsonl_records(target):
             kind = record.get("event")
-            if kind == "arrival":
-                arrivals.append(float(record["t"]))
-            elif kind == "run_start":
-                source_profile = record.get("profile")
-                if duration_s is None and record.get("duration_s") is not None:
-                    duration_s = float(record["duration_s"])
-            elif kind is None:
-                # Not a telemetry trace; fall through to the generic
-                # (time, count) JSONL schema.
-                t = record.get("time_s", record.get("t"))
-                if t is None:
-                    raise SimulationError(
-                        f"{target}: JSONL row needs 'time_s' (or 't')"
-                    )
-                arrivals.extend([float(t)] * int(record.get("count", 1)))
+            try:
+                if kind == "arrival":
+                    arrivals.append(float(record["t"]))
+                elif kind == "run_start":
+                    source_profile = record.get("profile")
+                    if duration_s is None and record.get("duration_s") is not None:
+                        duration_s = float(record["duration_s"])
+                elif kind is None:
+                    # Not a telemetry trace; fall through to the generic
+                    # (time, count) JSONL schema.
+                    t = record.get("time_s", record.get("t"))
+                    if t is None:
+                        raise SimulationError(
+                            f"{target}: JSONL row needs 'time_s' (or 't')"
+                        )
+                    arrivals.extend([float(t)] * int(record.get("count", 1)))
+            except (KeyError, TypeError, ValueError):
+                raise SimulationError(
+                    f"{target}: malformed record {record!r}"
+                ) from None
         if not arrivals:
             raise SimulationError(
                 f"{target}: no arrival events (trace recorded with "

@@ -16,6 +16,12 @@ are materialized strictly in tick order, and a block is only pre-drawn
 once every query of the preceding blocks has been constructed — so the
 RNG stream is consumed in the same order whether the runner visits every
 tick or leaps over the empty ones.
+
+Modeled queries are fabricated as one columnar
+:class:`~repro.dbms.querybank.QueryBank` per tick wherever the workload
+supports it (single-stage untagged queries, e.g. KV), and as a
+``list[Query]`` otherwise (TATP, SSB, real mode) — see
+:meth:`LoadGenerator.arrivals`.
 """
 
 from __future__ import annotations
@@ -45,16 +51,12 @@ class LoadGenerator:
         seed: int = 0,
         poisson: bool = False,
         real_mode: bool = False,
-        use_banks: bool = False,
     ):
         self._workload = workload
         self.profile = profile
         self.partitions = partitions
         self.poisson = poisson
         self.real_mode = real_mode
-        #: Ask the workload for columnar QueryBank arrivals before falling
-        #: back to per-object batches (the vectorized message plane).
-        self.use_banks = use_banks
         self._rng = np.random.default_rng(seed)
         self.generated_count = 0
         # Tick-grid anchor and pre-drawn count blocks.  The grid is
@@ -184,10 +186,11 @@ class LoadGenerator:
     def arrivals(self, t_s: float, dt_s: float):
         """Queries arriving within ``[t_s, t_s + dt_s)``.
 
-        Returns either a ``list[Query]`` or, with ``use_banks`` set and a
-        workload that supports it, a columnar
-        :class:`~repro.dbms.querybank.QueryBank` covering the same
-        arrivals (same ids, costs, and rng draws).
+        Modeled arrivals come as one columnar
+        :class:`~repro.dbms.querybank.QueryBank` when the workload can
+        fabricate banks (single-stage, untagged queries, e.g. KV);
+        otherwise, and in real mode, as a ``list[Query]``.  An empty tick
+        returns ``[]``.
 
         Raises:
             SimulationError: on a non-positive tick.
@@ -204,15 +207,12 @@ class LoadGenerator:
                 for arrival in arrival_times
             ]
         else:
-            if self.use_banks:
-                bank = self._workload.make_modeled_bank(
-                    self._rng, arrival_times, self.partitions
-                )
-                if bank is not None:
-                    self.generated_count += count
-                    return bank
-            queries = self._workload.make_modeled_batch(
+            queries = self._workload.make_modeled_bank(
                 self._rng, arrival_times, self.partitions
             )
+            if queries is None:
+                queries = self._workload.make_modeled_batch(
+                    self._rng, arrival_times, self.partitions
+                )
         self.generated_count += count
         return queries

@@ -149,7 +149,6 @@ class SimulationRunner:
             self.engine.partitions,
             seed=config.seed + 1,
             poisson=config.poisson_arrivals,
-            use_banks=config.engine_config.vector_messages,
         )
         self.policy: ControlPolicy = build_policy(
             config.policy, self.engine, config

@@ -132,7 +132,7 @@ class Workload(abc.ABC):
     ):
         """Build the arrivals as a columnar :class:`QueryBank`, or ``None``.
 
-        The vectorized load path calls this first and falls back to
+        The load generator calls this first and falls back to
         :meth:`make_modeled_batch` on ``None``.  An override must be an
         exact columnar transcription of the batch path: same query ids
         (reserve them via :func:`repro.dbms.queries.take_query_ids`),

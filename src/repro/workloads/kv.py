@@ -145,63 +145,16 @@ class KeyValueWorkload(Workload):
             coordinator_socket=coordinator,
         )
 
-    def make_modeled_batch(
-        self,
-        rng: np.random.Generator,
-        arrival_times_s: list[float],
-        partitions: PartitionMap,
-    ) -> list[Query]:
-        # Hot-path override: per-query invariants (cost model, fan-out,
-        # the shared per-partition WorkCost — frozen, so sharing is safe)
-        # are hoisted out of the loop.  RNG draws stay in the exact order
-        # of repeated make_modeled_query calls: partition picks, then the
-        # coordinator draw, per query.
-        op_cost = self._op_cost()
-        if self.is_indexed:
-            fan_out = min(16, len(partitions))
-        else:
-            fan_out = min(4, len(partitions))
-        ops_per_partition = max(1, self.ops_per_query // fan_out)
-        message_cost = WorkCost(
-            instructions=op_cost.instructions * ops_per_partition,
-            bytes_accessed=op_cost.bytes_accessed * ops_per_partition,
-        )
-        all_partitions = list(range(len(partitions)))
-        socket_count = partitions.socket_count
-        queries = []
-        for arrival_s in arrival_times_s:
-            if self.skew > 0.0:
-                targets = self._skewed_partitions(rng, partitions, fan_out)
-            elif fan_out == len(all_partitions):
-                targets = all_partitions
-            else:
-                targets = [
-                    int(p) for p in rng.choice(len(all_partitions), size=fan_out,
-                                               replace=False)
-                ]
-            messages = [
-                Message(query_id=-1, target_partition=pid, cost=message_cost)
-                for pid in targets
-            ]
-            coordinator = int(rng.integers(0, socket_count))
-            queries.append(
-                Query(
-                    arrival_s=arrival_s,
-                    stages=[QueryStage(messages)],
-                    coordinator_socket=coordinator,
-                )
-            )
-        return queries
-
     def make_modeled_bank(
         self,
         rng: np.random.Generator,
         arrival_times_s: list[float],
         partitions: PartitionMap,
     ):
-        # Columnar twin of make_modeled_batch: same query ids, same RNG
-        # draw order per query (partition picks, then the coordinator
-        # draw), same per-message costs — just no Message/Query objects.
+        # Columnar transcription of repeated make_modeled_query calls:
+        # same query ids, same RNG draw order per query (partition picks,
+        # then the coordinator draw), same per-message costs — just no
+        # Message/Query objects.
         from repro.dbms.querybank import QueryBank
         from repro.dbms.queries import take_query_ids
 
@@ -219,7 +172,7 @@ class KeyValueWorkload(Workload):
         targets = np.empty(count * fan_out, dtype=np.int64)
         coordinators = np.empty(count, dtype=np.int64)
         # The partition and coordinator draws must interleave per query to
-        # keep the rng stream identical to the scalar path, so this loop
+        # keep the rng stream identical to make_modeled_query, so this loop
         # stays scalar; the per-message object fabrication it replaces is
         # what the columns eliminate.
         for i in range(count):

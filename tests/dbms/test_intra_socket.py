@@ -59,13 +59,18 @@ class TestQueues:
         with pytest.raises(MessagingError):
             hub.dequeue_batch(1, 2, batch_size=0)
 
-    def test_requeue_front_preserves_order(self, hub):
+    def test_unpop_object_preserves_order(self, hub):
         first, second = msg(0, 1), msg(0, 2)
         hub.enqueue(first)
         hub.enqueue(second)
+        hub.enqueue(msg(1, 4))
         hub.acquire_specific(1, 0)
-        batch = hub.dequeue_batch(1, 0)
-        hub.requeue_front(1, batch)
+        popped = [hub.pop_object(1, 0), hub.pop_object(1, 0)]
+        assert hub.pop_object(1, 0) is None
+        for seq, message in reversed(popped):
+            hub.unpop_object(1, 0, seq, message)
+        assert hub.pending_messages == 3
+        assert hub.pending_cost_instructions() == 7.0
         redrawn = hub.dequeue_batch(1, 0)
         assert [m.message_id for m in redrawn] == [
             first.message_id,

@@ -1,7 +1,7 @@
 """Edge cases of the struct-of-arrays intra-socket hub.
 
-The SoA message plane must behave exactly like the object queues under
-the awkward interleavings the migration and elasticity layers produce:
+The SoA message plane must keep single-queue FIFO semantics under the
+awkward interleavings the migration and elasticity layers produce:
 deliveries into a quiesced (frozen) partition, acquisition tie-breaks
 after adoptions, workers parked mid-batch with a budget-cut round trip
 in flight, and arbitrary acquire→drain→release sequences (the hypothesis
@@ -43,7 +43,7 @@ def _drain_qids(completed):
 
 class TestFrozenPartitionEnqueueWhileQuiesced:
     def test_deliveries_land_but_acquisition_stops(self):
-        hub = IntraSocketHub(0, [1, 2], vectorized=True)
+        hub = IntraSocketHub(0, [1, 2])
         hub.freeze_partition(1)
         # Deliveries continue into the quiesced partition — both lanes.
         _bank(hub, [1, 1, 2], [10.0, 20.0, 30.0])
@@ -63,7 +63,7 @@ class TestFrozenPartitionEnqueueWhileQuiesced:
         assert hub.modeled_run(1) == 2
 
     def test_evict_while_frozen_materializes_in_order(self):
-        hub = IntraSocketHub(0, [1, 2], vectorized=True)
+        hub = IntraSocketHub(0, [1, 2])
         hub.freeze_partition(1)
         _bank(hub, [1, 1], [10.0, 20.0], first_qid=100)
         hub.enqueue(
@@ -82,7 +82,7 @@ class TestFrozenPartitionEnqueueWhileQuiesced:
 
 class TestAdoptedPartitionTieBreak:
     def test_adopted_partitions_rank_after_construction_set(self):
-        hub = IntraSocketHub(0, [3, 4], vectorized=True)
+        hub = IntraSocketHub(0, [3, 4])
         hub.adopt_partition(9)
         hub.adopt_partition(5)
         # Equal depths: the construction-time order wins, then adoption
@@ -95,7 +95,7 @@ class TestAdoptedPartitionTieBreak:
         assert order == [3, 4, 9, 5]
 
     def test_readopted_partition_moves_to_the_back(self):
-        hub = IntraSocketHub(0, [3, 4], vectorized=True)
+        hub = IntraSocketHub(0, [3, 4])
         _bank(hub, [3], [1.0])
         hub.freeze_partition(3)
         hub.evict_partition(3)
@@ -110,7 +110,7 @@ class TestAdoptedPartitionTieBreak:
 
 class TestParkMidBatch:
     def test_budget_cut_round_trip_then_handoff(self):
-        hub = IntraSocketHub(0, [1], vectorized=True)
+        hub = IntraSocketHub(0, [1])
         _bank(hub, [1, 1, 1, 1], [10.0, 10.0, 10.0, 10.0])
         first = Worker(worker_id=1, socket_id=0, hw_thread_id=0)
         used, completed = first.process_quantum(hub, None, 25.0)
@@ -132,7 +132,7 @@ class TestParkMidBatch:
         assert second.stats.messages_processed == 2
 
     def test_release_all_after_explicit_acquire(self):
-        hub = IntraSocketHub(0, [1, 2], vectorized=True)
+        hub = IntraSocketHub(0, [1, 2])
         _bank(hub, [1, 2], [10.0, 10.0])
         assert hub.acquire_partition(worker_id=1) is not None
         assert hub.acquire_partition(worker_id=1) is not None
@@ -177,7 +177,7 @@ def test_conservation_across_acquire_drain_release(batches, objects, budgets):
     FIFO over both lanes.
     """
     pids = (11, 22, 33)
-    hub = IntraSocketHub(0, pids, vectorized=True)
+    hub = IntraSocketHub(0, pids)
     enqueued = 0
     next_qid = 0
     for pid_index, costs in batches:

@@ -11,6 +11,20 @@ from repro.environment import (
 )
 from repro.errors import SimulationError
 
+#: Signal traces whose rows parse as rows but not as finite numbers.
+MALFORMED_TRACES = {
+    "text-time.jsonl": '{"time_s": "noon", "value": 1}\n',
+    "text-value.jsonl": '{"time_s": 0, "value": "high"}\n',
+    "list-value.jsonl": '{"time_s": 0, "value": [1, 2]}\n',
+    "dict-time.jsonl": '{"t": {"h": 1}, "value": 1}\n',
+    "nan-time.jsonl": '{"time_s": NaN, "value": 1}\n',
+    "inf-value.jsonl": '{"time_s": 0, "value": Infinity}\n',
+    "nan-value.jsonl": '{"time_s": 0, "value": NaN}\n',
+    "nan-time.csv": "0,400\nnan,300\n",
+    "inf-value.csv": "0,inf\n",
+    "nan-value.csv": "time_s,value\n0,nan\n",
+}
+
 
 class TestConstantSignal:
     def test_value_everywhere(self):
@@ -76,6 +90,31 @@ class TestStepSignal:
             StepSignal([(5.0, 1.0), (1.0, 2.0)])  # unordered
         with pytest.raises(SimulationError):
             StepSignal([(1.0, 1.0), (1.0, 2.0)])  # duplicate time
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 1.0), (float("nan"), 2.0)],
+            [(float("nan"), 1.0)],
+            [(0.0, float("inf"))],
+            [(0.0, 1.0), (1.0, float("-inf"))],
+            [(0.0, float("nan"))],
+            [(0.0, "high")],
+            [(None, 1.0)],
+        ],
+        ids=[
+            "nan-time",
+            "nan-first-time",
+            "inf-value",
+            "neg-inf-value",
+            "nan-value",
+            "text-value",
+            "none-time",
+        ],
+    )
+    def test_non_finite_or_non_numeric_points_rejected(self, points):
+        with pytest.raises(SimulationError):
+            StepSignal(points)
 
 
 class TestPiecewiseLinearSignal:
@@ -160,5 +199,12 @@ class TestLoadSignal:
     def test_jsonl_missing_value_key(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"time_s": 0}\n')
+        with pytest.raises(SimulationError):
+            load_signal(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_malformed_values_raise_simulation_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(MALFORMED_TRACES[name])
         with pytest.raises(SimulationError):
             load_signal(path)

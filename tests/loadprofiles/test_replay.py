@@ -9,6 +9,25 @@ from repro.sim import RunConfiguration, SimulationRunner
 from repro.telemetry import TraceRecorder
 from repro.workloads import KeyValueWorkload, WorkloadVariant
 
+NAN = float("nan")
+INF = float("inf")
+
+#: Replay files whose rows parse as rows but not as finite numbers.
+MALFORMED_TRACES = {
+    "nan-time.jsonl": '{"time_s": NaN}\n{"time_s": 0.5}\n',
+    "inf-time.jsonl": '{"t": Infinity}\n',
+    "text-time.jsonl": '{"time_s": "noon"}\n',
+    "text-count.jsonl": '{"time_s": 0.5, "count": "many"}\n',
+    "nan-arrival-event.jsonl": '{"event": "arrival", "t": NaN}\n',
+    "arrival-event-without-t.jsonl": '{"event": "arrival"}\n',
+    "text-duration.jsonl": (
+        '{"event": "run_start", "duration_s": "long"}\n'
+        '{"event": "arrival", "t": 0.5}\n'
+    ),
+    "nan-time.csv": "0.1\nnan\n",
+    "inf-time.csv": "0.1,1\ninf,2\n",
+}
+
 
 class TestConstruction:
     def test_sorts_and_exposes_arrivals(self):
@@ -28,6 +47,37 @@ class TestConstruction:
             TraceReplayProfile([-1.0, 2.0])
         with pytest.raises(SimulationError):
             TraceReplayProfile([5.0], duration_s=2.0)  # arrival past end
+
+    @pytest.mark.parametrize(
+        "arrivals, kwargs",
+        [
+            ([0.5, NAN], {}),
+            ([NAN], {}),
+            ([0.5, NAN], {"duration_s": 1.0}),
+            ([0.5, INF], {}),
+            ([0.5, "noon"], {}),
+            ([0.5, None], {}),
+            ([0.5], {"duration_s": NAN}),
+            ([0.5], {"duration_s": INF}),
+            ([0.5], {"reference_qps": NAN}),
+            ([0.5], {"reference_qps": INF}),
+        ],
+        ids=[
+            "nan-arrival",
+            "only-nan",
+            "nan-arrival-explicit-duration",
+            "inf-arrival",
+            "text-arrival",
+            "none-arrival",
+            "nan-duration",
+            "inf-duration",
+            "nan-reference",
+            "inf-reference",
+        ],
+    )
+    def test_non_finite_or_non_numeric_input_rejected(self, arrivals, kwargs):
+        with pytest.raises(SimulationError):
+            TraceReplayProfile(arrivals, **kwargs)
 
     def test_display_fraction_peaks_at_one_by_default(self):
         profile = TraceReplayProfile(
@@ -88,6 +138,13 @@ class TestFileLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SimulationError):
             load_replay_trace(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_malformed_values_raise_simulation_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(MALFORMED_TRACES[name])
+        with pytest.raises(SimulationError):
+            load_replay_trace(path)
 
     def test_trace_without_arrivals(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -1,81 +1,81 @@
-"""A/B pin: the policy/pipeline refactor is bit-identical.
+"""Golden pin: refactors leave the pre-registry runs bit-identical.
 
-The goldens under ``tests/sim/goldens/`` are pickled
-:class:`~repro.sim.metrics.RunResult` objects captured *before* the
+The ``ecl``/``baseline``/``ondemand`` cells of
+``tests/sim/goldens/run_digests.json`` were captured *before* the
 control layer was refactored behind the policy registry and the phased
-observer pipeline (see ``golden_config.py`` for the exact capture
-commit and configuration).  The refactor's contract is behaviour
-preservation: the same configuration must still produce the same result
-object field-for-field — energies, every sample point, every latency.
+observer pipeline (see ``golden_config.py`` for the capture commits and
+configurations).  The refactors' contract is behaviour preservation:
+the same configuration must still produce the same result object
+field-for-field — energies, every sample point, every latency — which
+the per-cell ``repr`` digest pins.
 
 If a deliberate model change breaks these on purpose, re-capture with::
 
     PYTHONPATH=src python tests/sim/golden_config.py
 """
 
-import pickle
-
 import pytest
 
 from repro.sim import run_experiment
 
 from .golden_config import (
+    GOLDEN_CELLS,
     GOLDEN_POLICIES,
-    golden_configuration,
-    golden_path,
+    assert_matches_golden,
+    load_goldens,
 )
 
 
-def load_golden(policy):
-    path = golden_path(policy)
-    if not path.exists():
-        pytest.skip(f"golden for {policy!r} not captured ({path})")
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+@pytest.fixture(scope="module")
+def fresh_run():
+    """Each golden policy's run, checked against its digest once."""
+    runs = {}
+
+    def get(policy):
+        if policy not in runs:
+            runs[policy] = assert_matches_golden(policy)[0]
+        return runs[policy]
+
+    return get
 
 
 @pytest.mark.parametrize("policy", GOLDEN_POLICIES)
-def test_run_result_bit_identical_to_golden(policy):
-    golden = load_golden(policy)
-    fresh = run_experiment(golden_configuration(policy))
-
-    # Field-level diagnostics first, so a mismatch names the culprit.
-    assert fresh.policy == golden.policy
-    assert fresh.queries_submitted == golden.queries_submitted
-    assert fresh.queries_completed == golden.queries_completed
-    assert fresh.total_energy_j == golden.total_energy_j  # exact, no approx
-    assert fresh.latencies_s == golden.latencies_s
-    assert len(fresh.samples) == len(golden.samples)
-    for fresh_sample, golden_sample in zip(fresh.samples, golden.samples):
-        assert fresh_sample == golden_sample
-    # The full dataclass comparison seals everything else.
-    assert fresh == golden
+def test_run_result_bit_identical_to_golden(policy, fresh_run):
+    fresh_run(policy)
 
 
-def test_goldens_are_distinct_runs():
-    """Guards against captures that accidentally pickled the same run."""
-    energies = {p: load_golden(p).total_energy_j for p in GOLDEN_POLICIES}
+def test_goldens_are_distinct_runs(fresh_run):
+    """Guards against captures that accidentally recorded the same run."""
+    goldens = load_goldens()
+    energies = {
+        p: float.fromhex(goldens[p]["total_energy_j"]) for p in GOLDEN_POLICIES
+    }
+    assert len({goldens[p]["result_sha256"] for p in GOLDEN_POLICIES}) == 3
     assert len(set(energies.values())) == len(GOLDEN_POLICIES)
-    # And the paper's ordering holds even at golden scale (4 s spike).
+    # And the paper's ordering holds even at golden scale (4 s spike),
+    # on the pinned and on the fresh results alike.
     assert energies["ecl"] < energies["ondemand"] < energies["baseline"]
+    fresh = {p: fresh_run(p).total_energy_j for p in GOLDEN_POLICIES}
+    assert fresh == energies
 
 
-def test_new_policies_land_between_baseline_and_ecl():
+def test_new_policies_land_between_baseline_and_ecl(fresh_run):
     """§4/§7: single-technique policies recover part of the savings.
 
     ``performance`` (race-to-idle at turbo) and ``epb-only`` (hardware
     EPB/EET hints) must beat the uncontrolled baseline but not the full
     ECL — even at the goldens' 4 s spike scale.
     """
-    ecl = load_golden("ecl").total_energy_j
-    baseline = load_golden("baseline").total_energy_j
+    ecl = fresh_run("ecl").total_energy_j
+    baseline = fresh_run("baseline").total_energy_j
     for policy in ("performance", "epb-only"):
-        result = run_experiment(golden_configuration(policy))
+        config = GOLDEN_CELLS["ecl"].configuration(policy=policy)
+        result = run_experiment(config)
         assert result.queries_completed == result.queries_submitted
         assert ecl < result.total_energy_j < baseline
 
 
-def test_legacy_annotation_fields_stay_empty():
+def test_legacy_annotation_fields_stay_empty(fresh_run):
     """The goldens pin ondemand/baseline samples to empty annotations.
 
     Before the refactor only the ECL populated ``performance_levels`` /
@@ -83,9 +83,8 @@ def test_legacy_annotation_fields_stay_empty():
     populating them for the legacy policies.
     """
     for policy in GOLDEN_POLICIES:
-        golden = load_golden(policy)
         populated = any(
-            s.performance_levels or s.applied for s in golden.samples
+            s.performance_levels or s.applied for s in fresh_run(policy).samples
         )
         if policy == "ecl":
             assert populated

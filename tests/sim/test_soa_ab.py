@@ -1,74 +1,44 @@
-"""SoA message-plane A/B bit-identity across policies, arrivals, clusters.
+"""Message-plane goldens: the retired vector/scalar A/B matrix, pinned.
 
-``EngineConfig.vector_messages`` switches the intra-socket message plane
-between the object queues (scalar path) and the struct-of-arrays compact
-columns (vectorized drain, bank-fabricated arrivals).  The flag is a pure
-execution strategy: every observable of a run — energy, query counts,
-latencies, samples, machine clocks and counters — must be *bit-identical*
-either way.  These tests A/B every registered control policy under both
-arrival modes, both macro-stepping modes, and the cluster presets, and
-compare the full result surface with ``==`` (no tolerances).
+The struct-of-arrays message plane once had a scalar twin (per-message
+object queues), kept only as an A/B oracle.  Before the twin was
+deleted, every cell of its A/B matrix was run on both planes, checked
+bit-identical, and recorded in ``tests/sim/goldens/run_digests.json``
+(the ``ab/...`` cells; see ``golden_config.py``).  Matching a digest
+therefore keeps the one remaining plane identical to the result surface
+both planes agreed on: energy, query counts, latencies, samples,
+machine clock and worker-pool counters, compared exactly.
+
+The matrix: every registered control policy under both arrival modes,
+per-tick stepping, the cluster presets, a consolidation wave, and ECL
+on TATP — whose multi-stage queries run on the object lane.
 """
 
 import pytest
 
-from repro.dbms.config import EngineConfig
-from repro.hardware.cluster import homogeneous_cluster, mixed_cluster
-from repro.loadprofiles import constant_profile, spike_profile
-from repro.sim import RunConfiguration, SimulationRunner, registered_policies
-from repro.workloads import KeyValueWorkload, WorkloadVariant
+from repro.sim import registered_policies
 
-
-def _run(policy, *, vector, poisson=False, macro=True, cluster=None):
-    config = RunConfiguration(
-        workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
-        profile=spike_profile(duration_s=3.0),
-        policy=policy,
-        seed=5,
-        macro_step=macro,
-        poisson_arrivals=poisson,
-        cluster=cluster,
-        engine_config=EngineConfig(vector_messages=vector),
-    )
-    runner = SimulationRunner(config)
-    result = runner.run()
-    return result, runner
-
-
-def _assert_identical(vec, obj):
-    """Full-surface bitwise comparison of two RunResults."""
-    assert vec.total_energy_j == obj.total_energy_j
-    assert vec.queries_submitted == obj.queries_submitted
-    assert vec.queries_completed == obj.queries_completed
-    assert vec.latencies_s == obj.latencies_s
-    assert vec.duration_s == obj.duration_s
-    assert len(vec.samples) == len(obj.samples)
-    for a, b in zip(vec.samples, obj.samples):
-        assert a == b
+from .golden_config import (
+    GOLDEN_CELLS,
+    MATRIX_POLICIES,
+    assert_matches_golden,
+    matrix_cell_name,
+)
 
 
 class TestEveryPolicyBothArrivalModes:
-    @pytest.mark.parametrize("policy", sorted(registered_policies()))
+    @pytest.mark.parametrize("policy", MATRIX_POLICIES)
     @pytest.mark.parametrize("poisson", [False, True])
     def test_vector_scalar_identity(self, policy, poisson):
-        vec, runner_vec = _run(policy, vector=True, poisson=poisson)
-        obj, runner_obj = _run(policy, vector=False, poisson=poisson)
-        _assert_identical(vec, obj)
-        assert runner_vec.machine.time_s == runner_obj.machine.time_s
-        assert (
-            runner_vec.machine.true_total_energy_j()
-            == runner_obj.machine.true_total_energy_j()
-        )
-        # Worker-pool counters fold the same messages either way.
-        assert (
-            runner_vec.engine.pool.total_stats()
-            == runner_obj.engine.pool.total_stats()
-        )
+        assert_matches_golden(matrix_cell_name(policy, poisson))
+
+    def test_matrix_covers_every_registered_policy(self):
+        assert set(MATRIX_POLICIES) == set(registered_policies())
 
     def test_vector_run_actually_uses_banks(self):
-        """The identity tests are vacuous if the vector run fabricated no
-        compact banks: pin that arrivals took the bank path."""
-        _, runner = _run("baseline", vector=True)
+        """The KV cells pin the compact lane only if arrivals fabricated
+        banks: pin that they took the bank path."""
+        _, runner = GOLDEN_CELLS[matrix_cell_name("baseline", False)].run()
         assert runner.engine.tracker.dispatched_count > 0
         assert runner.engine.tracker.completed_count > 0
         # The object-lane dict of per-query state stays empty: every
@@ -79,18 +49,13 @@ class TestEveryPolicyBothArrivalModes:
 class TestPerTickModeAndClusters:
     @pytest.mark.parametrize("policy", ["baseline", "ecl"])
     def test_identity_without_macro_stepping(self, policy):
-        vec, _ = _run(policy, vector=True, macro=False)
-        obj, _ = _run(policy, vector=False, macro=False)
-        _assert_identical(vec, obj)
+        assert_matches_golden(f"ab/{policy}/per-tick")
 
     @pytest.mark.parametrize(
-        "cluster_factory", [homogeneous_cluster, mixed_cluster]
+        "preset", ["homogeneous", "mixed"], ids=["homogeneous_cluster", "mixed_cluster"]
     )
-    def test_identity_on_cluster_presets(self, cluster_factory):
-        cluster = cluster_factory(3)
-        vec, _ = _run("ecl-cluster", vector=True, cluster=cluster)
-        obj, _ = _run("ecl-cluster", vector=False, cluster=cluster)
-        _assert_identical(vec, obj)
+    def test_identity_on_cluster_presets(self, preset):
+        assert_matches_golden(f"ab/ecl-cluster/{preset}3")
 
 
 class TestMigrationInteraction:
@@ -99,22 +64,14 @@ class TestMigrationInteraction:
         invariants: the consolidation policy drains sockets (evicting
         compact columns into the object transfer path) and wakes them
         again, and the result surface must not move a bit."""
-        config_kwargs = dict(
-            workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
-            profile=constant_profile(duration_s=4.0, fraction=0.18),
-            policy="ecl-consolidate",
-            seed=5,
-        )
-        results = {}
-        for vector in (True, False):
-            config = RunConfiguration(
-                engine_config=EngineConfig(vector_messages=vector),
-                **config_kwargs,
-            )
-            runner = SimulationRunner(config)
-            runner.policy.cooldown_intervals = 0
-            results[vector] = (runner.run(), runner)
-        _assert_identical(results[True][0], results[False][0])
-        assert len(results[True][1].engine.migration_log) == len(
-            results[False][1].engine.migration_log
-        )
+        _, runner = assert_matches_golden("ab/ecl-consolidate/wave")
+        assert runner.engine.migration_log
+
+
+class TestObjectLane:
+    @pytest.mark.parametrize("stepping", ["tatp", "tatp-per-tick"])
+    def test_tatp_matches_golden(self, stepping):
+        """TATP's multi-stage queries never fabricate banks: the whole
+        run rides the object lane, per-query tracker state included."""
+        _, runner = assert_matches_golden(f"ab/ecl/{stepping}")
+        assert runner.engine.tracker.completed_count > 0
