@@ -214,42 +214,28 @@ class DatabaseEngine:
         transfer buffers when remote — with the same offline-coordinator
         redirect as :meth:`submit`.
         """
-        coordinators = bank.coordinators
-        if self._offline_sockets:
-            online = min(
-                sid for sid in self.hubs if sid not in self._offline_sockets
-            )
-            offline = np.fromiter(
-                self._offline_sockets, dtype=np.int64
-            )
-            coordinators = np.where(
-                np.isin(coordinators, offline), online, coordinators
-            )
+        coordinators = bank.coordinators.tolist()
+        offline = self._offline_sockets
+        if offline:
+            online = min(sid for sid in self.hubs if sid not in offline)
+            coordinators = [
+                online if sid in offline else sid for sid in coordinators
+            ]
         self.tracker.register_bank(
             bank.first_query_id, bank.fan_out, bank.arrivals_s
         )
-        count = bank.count
         fan = bank.fan_out
         first = bank.first_query_id
-        if count * fan <= 32:
-            # Small banks feed the router's scalar path with plain lists
-            # (same np.repeat replication order, no numpy fixed costs).
-            sources = [
-                sid for sid in coordinators.tolist() for _ in range(fan)
-            ]
-            query_ids = [
-                first + i for i in range(count) for _ in range(fan)
-            ]
-        else:
-            sources = np.repeat(coordinators, fan)
-            query_ids = np.repeat(
-                np.arange(first, first + count, dtype=np.int64), fan
-            )
+        # One entry per message: query-major, as the bank's columns are.
+        sources = [sid for sid in coordinators for _ in range(fan)]
+        query_ids = [
+            first + i for i in range(bank.count) for _ in range(fan)
+        ]
         self.router.route_bank(
             sources,
-            bank.targets,
-            bank.instructions,
-            bank.bytes_accessed,
+            bank.targets.tolist(),
+            bank.instructions.tolist(),
+            bank.bytes_accessed.tolist(),
             query_ids,
         )
 
@@ -556,11 +542,11 @@ class DatabaseEngine:
         # (step slice, pending cost, charge, starting balance) are kept
         # for the commit pass, which would otherwise recompute them.
         machine = self.machine
+        if not machine.thermal_steady_all():
+            return 0
         n_valid = n_ticks
         plan: list[tuple] = []
         for sid, hub in self.hubs.items():
-            if not machine.thermal_steady(sid):
-                return 0
             socket_step = step.sockets[sid]
             executed = socket_step.executed_instructions
             capacity_ips = socket_step.performance.capacity_ips

@@ -20,10 +20,9 @@ everything that needs a real ``Message`` (real operators, RESULT
 messages, tagged work, single enqueues) rides an object side lane.  A
 per-hub enqueue sequence number merges the two lanes into one FIFO
 stream, so drain order, demand accounting and ownership are those of a
-single per-message queue.  The accounting folds are strict left folds
-(``np.add.accumulate``/``np.subtract.accumulate``, or plain chained
-arithmetic below :data:`SMALL_RUN`), so the pending sums are the exact
-floats a message-at-a-time loop would produce.
+single per-message queue.  The accounting folds are plain chained
+arithmetic in message order, so the pending sums are the exact floats a
+message-at-a-time loop would produce.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ from repro.dbms.messages import Message, WorkCost
 
 #: Default number of messages a worker drains per ownership acquisition.
 DEFAULT_BATCH_SIZE = 64
-
-#: Batch size below which the column paths fall back to scalar
-#: chained arithmetic: numpy's fixed per-call overhead (~1µs) exceeds
-#: the loop cost for short runs, and the scalar chain computes the
-#: exact same left folds, so the cutover is invisible to results.
-SMALL_RUN = 32
 
 #: Demand estimate for messages whose true cost is unknown pre-execution.
 NOMINAL_REAL_OPERATION_INSTRUCTIONS = 1000.0
@@ -230,12 +223,10 @@ class IntraSocketHub:
     ) -> None:
         """Buffer a batch of modeled untagged WORK messages (SoA columns).
 
-        The columns are parallel — numpy arrays, or plain Python lists
-        for small banks (the router's scalar fast path hands lists
-        through so tiny banks never touch numpy at all) — one entry per
-        message, in arrival order.  The demand accounting replays the
-        per-message folds (one strict left fold per batch), so the
-        pending sums stay bit-identical to enqueueing one by one.
+        The columns are parallel lists, one entry per message, in
+        arrival order.  The demand accounting replays the per-message
+        folds as chained arithmetic, so the pending sums stay
+        bit-identical to enqueueing one by one.
 
         Raises:
             MessagingError: for partitions not homed on this socket.
@@ -246,109 +237,38 @@ class IntraSocketHub:
         seq0 = self._next_seq
         self._next_seq = seq0 + n
         queues = self._queues
-        if n <= SMALL_RUN:
-            # Small batches: per-message scalar writes beat the unique/
-            # mask machinery.  Heap pushes replay the vector path's
-            # np.unique order (ascending pid) so acquire tie-breaks are
-            # unchanged.
-            if type(targets) is list:
-                target_list = targets
-                instr_list = instructions
-                bytes_list = bytes_accessed
-                qid_list = query_ids
-            else:
-                target_list = targets.tolist()
-                instr_list = instructions.tolist()
-                bytes_list = bytes_accessed.tolist()
-                qid_list = query_ids.tolist()
-            touched: dict = {}
-            for j in range(n):
-                pid = target_list[j]
-                queue = queues.get(pid)
-                if queue is None:
-                    raise MessagingError(
-                        f"partition {pid} is not on socket {self.socket_id}"
-                    )
-                queue.reserve(1)
-                tail = queue.tail
-                queue.instr[tail] = instr_list[j]
-                queue.nbytes[tail] = bytes_list[j]
-                queue.qid[tail] = qid_list[j]
-                queue.seq[tail] = seq0 + j
-                queue.tail = tail + 1
-                touched[pid] = queue
-            for pid in sorted(touched):
-                self._push_depth(pid, touched[pid])
-            self._pending_messages += n
-            pending = self._pending_instructions
-            for value in instr_list:
-                pending += value
-            self._pending_instructions = pending
-            # The per-message tag tally, verbatim (restart-safe for
-            # degenerate tiny costs).
-            for value in instr_list:
-                stored = self._pending_by_tag.get(None)
-                total = (stored[1] if stored else 0.0) + value
-                if total <= 1e-9:
-                    self._pending_by_tag.pop(None, None)
-                else:
-                    self._pending_by_tag[None] = (None, total)
-            self._tag_version += 1
-            return
-        targets = np.asarray(targets, dtype=np.int64)
-        instructions = np.asarray(instructions, dtype=np.float64)
-        bytes_accessed = np.asarray(bytes_accessed, dtype=np.float64)
-        query_ids = np.asarray(query_ids, dtype=np.int64)
-        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
-        for pid in np.unique(targets):
-            pid = int(pid)
+        touched: dict = {}
+        for j in range(n):
+            pid = targets[j]
             queue = queues.get(pid)
             if queue is None:
                 raise MessagingError(
                     f"partition {pid} is not on socket {self.socket_id}"
                 )
-            mask = targets == pid
-            m = int(np.count_nonzero(mask))
-            queue.reserve(m)
-            lo, hi = queue.tail, queue.tail + m
-            queue.instr[lo:hi] = instructions[mask]
-            queue.nbytes[lo:hi] = bytes_accessed[mask]
-            queue.qid[lo:hi] = query_ids[mask]
-            queue.seq[lo:hi] = seqs[mask]
-            queue.tail = hi
-            self._push_depth(pid)
+            queue.reserve(1)
+            tail = queue.tail
+            queue.instr[tail] = instructions[j]
+            queue.nbytes[tail] = bytes_accessed[j]
+            queue.qid[tail] = query_ids[j]
+            queue.seq[tail] = seq0 + j
+            queue.tail = tail + 1
+            touched[pid] = queue
+        for pid, queue in touched.items():
+            self._push_depth(pid, queue)
         self._pending_messages += n
-        # The pending fold is the per-hub subsequence of the global
-        # message order, which is exactly the input array order; an
-        # accumulate is the same chained left fold a per-message loop runs.
-        self._pending_instructions = float(
-            np.add.accumulate(
-                np.concatenate(((self._pending_instructions,), instructions))
-            )[-1]
-        )
-        stored = self._pending_by_tag.get(None)
-        if stored is not None or float(instructions.min()) > 1e-9:
-            total = float(
-                np.add.accumulate(
-                    np.concatenate(
-                        ((stored[1] if stored else 0.0,), instructions)
-                    )
-                )[-1]
-            )
+        pending = self._pending_instructions
+        for value in instructions:
+            pending += value
+        self._pending_instructions = pending
+        # The per-message tag tally, verbatim (restart-safe for
+        # degenerate tiny costs).
+        for value in instructions:
+            stored = self._pending_by_tag.get(None)
+            total = (stored[1] if stored else 0.0) + value
             if total <= 1e-9:
                 self._pending_by_tag.pop(None, None)
             else:
                 self._pending_by_tag[None] = (None, total)
-        else:
-            # Degenerate tiny costs could pop-and-restart the tally mid
-            # batch; replay the scalar per-message loop exactly.
-            for value in instructions:
-                stored = self._pending_by_tag.get(None)
-                total = (stored[1] if stored else 0.0) + float(value)
-                if total <= 1e-9:
-                    self._pending_by_tag.pop(None, None)
-                else:
-                    self._pending_by_tag[None] = (None, total)
         self._tag_version += 1
 
     def pending_cost_instructions(self) -> float:
@@ -509,24 +429,13 @@ class IntraSocketHub:
         """
         return self._queues[partition_id].modeled_run()
 
-    def run_instructions(self, partition_id: int, count: int) -> np.ndarray:
-        """Instruction-cost column view of the head run (no copy)."""
-        queue = self._queues[partition_id]
-        return queue.instr[queue.head : queue.head + count]
-
-    def run_bytes(self, partition_id: int, count: int) -> np.ndarray:
-        """Bytes-accessed column view of the head run (no copy)."""
-        queue = self._queues[partition_id]
-        return queue.nbytes[queue.head : queue.head + count]
-
     def run_rows(
         self, partition_id: int, count: int
     ) -> tuple[list[float], list[float]]:
         """Instruction and byte columns of the head run as Python lists.
 
-        One call instead of two column views for the worker's small-run
-        scalar drain (``float64.tolist()`` is value-preserving, so the
-        lists carry the exact column values).
+        What the worker's drain cut folds over (``float64.tolist()`` is
+        value-preserving, so the lists carry the exact column values).
         """
         queue = self._queues[partition_id]
         h = queue.head
@@ -541,11 +450,10 @@ class IntraSocketHub:
         partition_id: int,
         count: int,
         round_trip: bool = False,
-    ) -> np.ndarray | list[int]:
+    ) -> list[int]:
         """Consume ``count`` compact entries off an owned partition's head.
 
-        Returns the consumed query-id column (a list for small runs, an
-        array copy otherwise).  With
+        Returns the consumed query-id column as a list.  With
         ``round_trip=True`` the entry *after* the consumed run replays
         the worker's budget-cut round trip of a message-at-a-time drain —
         dequeued and immediately requeued (the float folds of that detour
@@ -564,49 +472,21 @@ class IntraSocketHub:
                 f"{partition_id}"
             )
         h = queue.head
-        costs = queue.instr[h : h + folds]
-        # Small runs hand the consumed ids back as a plain list (what the
-        # tracker's scalar settle path wants anyway); big runs as an
-        # array copy.
-        if count <= SMALL_RUN:
-            query_ids = queue.qid[h : h + count].tolist()
-        else:
-            query_ids = queue.qid[h : h + count].copy()
+        query_ids = queue.qid[h : h + count].tolist()
         if folds:
-            # Chained scalar folds, replayed as strict left folds (as a
-            # plain loop for short runs — same chain, no numpy fixed
-            # cost).  The empty-hub snap can only fire on the last
-            # dequeue of the run (earlier entries leave this very queue
-            # non-empty).
-            if folds <= SMALL_RUN:
-                cost_list = costs.tolist()
-                pending = self._pending_instructions
-                for value in cost_list:
-                    pending -= value
-                self._pending_instructions = pending
-                stored = self._pending_by_tag.get(None)
-                if stored is not None:
-                    total = stored[1]
-                    for value in cost_list:
-                        total -= value
-                    if total <= 1e-9:
-                        self._pending_by_tag.pop(None, None)
-                    else:
-                        self._pending_by_tag[None] = (None, total)
-                stored = None
-            else:
-                self._pending_instructions = float(
-                    np.subtract.accumulate(
-                        np.concatenate(((self._pending_instructions,), costs))
-                    )[-1]
-                )
-                stored = self._pending_by_tag.get(None)
+            # The per-message dequeue folds, chained in queue order.  The
+            # empty-hub snap can only fire on the last dequeue of the run
+            # (earlier entries leave this very queue non-empty).
+            costs = queue.instr[h : h + folds].tolist()
+            pending = self._pending_instructions
+            for value in costs:
+                pending -= value
+            self._pending_instructions = pending
+            stored = self._pending_by_tag.get(None)
             if stored is not None:
-                total = float(
-                    np.subtract.accumulate(
-                        np.concatenate(((stored[1],), costs))
-                    )[-1]
-                )
+                total = stored[1]
+                for value in costs:
+                    total -= value
                 # Monotone non-increasing fold: the running minimum is the
                 # final value, so "popped at some step" == "final <= eps".
                 if total <= 1e-9:

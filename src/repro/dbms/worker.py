@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MessagingError
-from repro.dbms.intra_socket import (
-    DEFAULT_BATCH_SIZE,
-    SMALL_RUN,
-    IntraSocketHub,
-)
+from repro.dbms.intra_socket import DEFAULT_BATCH_SIZE, IntraSocketHub
 from repro.dbms.messages import Message, MessageKind
 from repro.storage.partition import PartitionMap
 
@@ -44,9 +40,8 @@ class CompletedRun:
 
     The worker returns these inside its completion list in
     place of per-message objects: one run covers ``len(query_ids)``
-    consecutively drained messages of one partition (a list for small
-    runs, an id-column array otherwise).  The engine settles them
-    against the query tracker in one call per run.
+    consecutively drained messages of one partition.  The engine settles
+    them against the query tracker in one call per run.
     """
 
     __slots__ = ("partition_id", "query_ids")
@@ -173,10 +168,10 @@ class Worker:
         operator mid-flight.
 
         The semantics are those of a message-at-a-time loop, but each
-        compact run is drained with one ``np.subtract.accumulate`` budget
-        cut (plain chained arithmetic below :data:`SMALL_RUN`).  With
-        ``d`` the running-budget chain over the run's costs (``d[0]`` =
-        budget before the run), message ``i`` is consumed plainly iff
+        compact run is drained with one budget cut: a chained subtraction
+        over the run's costs that stops at the first message that does
+        not fit.  With ``d`` the running-budget chain (``d[0]`` = budget
+        before the run), message ``i`` is consumed plainly iff
         ``d[i] > 0 and d[i+1] >= 0``; the first violation ``k`` lands in
         one of three cases:
 
@@ -217,77 +212,30 @@ class Worker:
                 while remaining > 0:
                     run = hub.modeled_run(partition_id)
                     if run:
-                        if run <= SMALL_RUN:
-                            # Tiny runs: numpy's fixed per-call overhead
-                            # dwarfs the work, so replay the identical
-                            # left folds as plain chained arithmetic.
-                            costs, run_b = hub.run_rows(partition_id, run)
-                            rem = remaining
-                            k = 0
-                            while k < run:
-                                nxt = rem - costs[k]
-                                if rem > 0.0 and nxt >= 0.0:
-                                    rem = nxt
-                                    k += 1
-                                    continue
-                                break
-                            if k == run or rem <= 0.0:
-                                round_trip = False
-                            elif count or k:
-                                round_trip = True
-                            else:
-                                k = 1  # overdraw a fresh quantum
-                                rem = remaining - costs[0]
-                                round_trip = False
-                            if k:
-                                for i in range(k):
-                                    instructions += costs[i]
-                                    bytes_accessed += run_b[i]
-                                remaining = rem
-                            query_ids = hub.consume_modeled(
-                                worker_id, partition_id, k, round_trip
-                            )
-                            if k:
-                                count += k
-                                completed.append(
-                                    CompletedRun(partition_id, query_ids)
-                                )
-                            if round_trip:
-                                out_of_budget = True
-                                break
-                            continue
-                        c = hub.run_instructions(partition_id, run)
-                        d = np.subtract.accumulate(
-                            np.concatenate(((remaining,), c))
-                        )
-                        ok = (d[:-1] > 0.0) & (d[1:] >= 0.0)
-                        if ok.all():
-                            k = run
+                        costs, run_b = hub.run_rows(partition_id, run)
+                        rem = remaining
+                        k = 0
+                        while k < run:
+                            nxt = rem - costs[k]
+                            if rem > 0.0 and nxt >= 0.0:
+                                rem = nxt
+                                k += 1
+                                continue
+                            break
+                        if k == run or rem <= 0.0:
                             round_trip = False
+                        elif count or k:
+                            round_trip = True
                         else:
-                            k = int(np.argmin(ok))
-                            if d[k] <= 0.0:
-                                round_trip = False
-                            elif count or k:
-                                round_trip = True
-                            else:
-                                k = 1  # overdraw a fresh quantum
-                                round_trip = False
+                            k = 1  # overdraw a fresh quantum
+                            rem = remaining - costs[0]
+                            round_trip = False
                         if k:
-                            b = hub.run_bytes(partition_id, run)
-                            # Stats and budget replay the per-message
-                            # chained adds as strict left folds.
-                            instructions = float(
-                                np.add.accumulate(
-                                    np.concatenate(((instructions,), c[:k]))
-                                )[-1]
-                            )
-                            bytes_accessed = float(
-                                np.add.accumulate(
-                                    np.concatenate(((bytes_accessed,), b[:k]))
-                                )[-1]
-                            )
-                            remaining = float(d[k])
+                            # Stats replay the per-message chained adds.
+                            for i in range(k):
+                                instructions += costs[i]
+                                bytes_accessed += run_b[i]
+                            remaining = rem
                         query_ids = hub.consume_modeled(
                             worker_id, partition_id, k, round_trip
                         )

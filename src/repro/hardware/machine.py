@@ -92,19 +92,15 @@ class StepResult:
 
 
 @dataclass(frozen=True)
-class _ConfigEntry:
-    """Cached hardware view of one socket (configuration-dependent only)."""
+class _CapacityEntry:
+    """Cached demand-independent resolution of one socket and workload:
+    the hardware view (active cores with effective clocks, uncore state)
+    and the performance capacity it yields."""
 
     active_cores: tuple[ActiveCore, ...]
     uncore_ghz: float
     uncore_halted: bool
     c1_states: tuple[CorePowerState, ...]
-
-
-@dataclass(frozen=True)
-class _CapacityEntry:
-    """Cached demand-independent performance resolution of one socket."""
-
     capacity_ips: float
     parallel_ips: float
     bandwidth_limited: bool
@@ -351,7 +347,6 @@ class Machine:
         #: mapping is cached in LRU dictionaries.  ``step_cache_size <= 0``
         #: disables memoization entirely (the exact uncached path).
         self._step_cache_size = step_cache_size
-        self._config_cache: OrderedDict = OrderedDict()
         self._capacity_cache: OrderedDict = OrderedDict()
         self._full_cache: OrderedDict = OrderedDict()
         #: Hit/miss counters for tests and performance introspection.
@@ -676,7 +671,7 @@ class Machine:
 
     def _compute_socket(
         self, sid: int, load: SocketLoad
-    ) -> tuple[SocketPerformance, PowerBreakdown, _ConfigEntry, _CapacityEntry]:
+    ) -> tuple[SocketPerformance, PowerBreakdown, _CapacityEntry]:
         """Exact (uncached) per-socket step resolution."""
         chars = load.characteristics
         active_cores = tuple(self._active_cores(sid))
@@ -724,33 +719,30 @@ class Machine:
             uncore_halted=uncore_halted,
             traffic_gbs=perf.traffic_gbs,
         )
-        config = _ConfigEntry(
+        capacity = _CapacityEntry(
             active_cores=active_cores,
             uncore_ghz=uncore_ghz,
             uncore_halted=uncore_halted,
             c1_states=tuple(c1_states),
-        )
-        capacity = _CapacityEntry(
             capacity_ips=perf.capacity_ips,
             parallel_ips=parallel,
             bandwidth_limited=perf.bandwidth_limited,
             contention_limited=perf.contention_limited,
             compute_shares=compute_shares,
         )
-        return perf, power, config, capacity
+        return perf, power, capacity
 
     def _resolve_socket(
         self, sid: int, load: SocketLoad
     ) -> tuple[SocketPerformance, PowerBreakdown, float, bool]:
         """Resolve one socket's step via the memoization layers.
 
-        Three LRU levels, all bit-identical to the uncached path:
+        Two LRU levels, both bit-identical to the uncached path:
 
-        1. *config* — the hardware view (active cores with effective
-           clocks, uncore state) per hardware signature;
-        2. *capacity* — the demand-independent performance resolution per
-           (hardware signature, workload characteristics);
-        3. *full* — the complete (performance, power) pair per (hardware
+        1. *capacity* — the hardware view (active cores with effective
+           clocks, uncore state) and the demand-independent performance
+           resolution per (hardware signature, workload characteristics);
+        2. *full* — the complete (performance, power) pair per (hardware
            signature, characteristics, demand signature).  Demands at or
            above capacity all resolve to the same saturated result, so
            they share one bucket; below capacity the key is the exact
@@ -758,23 +750,17 @@ class Machine:
            demand-dependent tail.
         """
         if self._step_cache_size <= 0:
-            perf, power, config, _ = self._compute_socket(sid, load)
-            return perf, power, config.uncore_ghz, config.uncore_halted
+            perf, power, capacity = self._compute_socket(sid, load)
+            return perf, power, capacity.uncore_ghz, capacity.uncore_halted
 
         hw_sig = self._hardware_signature(sid)
         chars = load.characteristics
         cap_key = (sid, hw_sig, chars)
         capacity = _lru_get(self._capacity_cache, cap_key)
-        config = (
-            _lru_get(self._config_cache, (sid, hw_sig))
-            if capacity is not None
-            else None
-        )
-        if capacity is None or config is None:
+        if capacity is None:
             self.step_cache_stats["misses"] += 1
-            perf, power, config, capacity = self._compute_socket(sid, load)
+            perf, power, capacity = self._compute_socket(sid, load)
             size = self._step_cache_size
-            _lru_put(self._config_cache, (sid, hw_sig), config, size)
             _lru_put(self._capacity_cache, cap_key, capacity, size)
             demand = load.demand_instructions_per_s
             demand_key = (
@@ -788,7 +774,7 @@ class Machine:
                 _FullEntry(performance=perf, power=power),
                 size,
             )
-            return perf, power, config.uncore_ghz, config.uncore_halted
+            return perf, power, capacity.uncore_ghz, capacity.uncore_halted
 
         demand = load.demand_instructions_per_s
         # Saturated demands (>= capacity) all yield the executed == capacity
@@ -803,8 +789,8 @@ class Machine:
             return (
                 full.performance,
                 full.power,
-                config.uncore_ghz,
-                config.uncore_halted,
+                capacity.uncore_ghz,
+                capacity.uncore_halted,
             )
 
         self.step_cache_stats["capacity_hits"] += 1
@@ -826,14 +812,14 @@ class Machine:
                 active_sibling_count=core.sibling_count,
                 activity=self.perf_model.activity_from_share(share, socket_scale),
             )
-            for core, share in zip(config.active_cores, capacity.compute_shares)
+            for core, share in zip(capacity.active_cores, capacity.compute_shares)
         ]
-        core_states.extend(config.c1_states)
+        core_states.extend(capacity.c1_states)
         power = self.power_model.socket_power(
             socket_id=sid,
             core_states=core_states,
-            uncore_ghz=config.uncore_ghz,
-            uncore_halted=config.uncore_halted,
+            uncore_ghz=capacity.uncore_ghz,
+            uncore_halted=capacity.uncore_halted,
             traffic_gbs=perf.traffic_gbs,
         )
         _lru_put(
@@ -842,7 +828,7 @@ class Machine:
             _FullEntry(performance=perf, power=power),
             self._step_cache_size,
         )
-        return perf, power, config.uncore_ghz, config.uncore_halted
+        return perf, power, capacity.uncore_ghz, capacity.uncore_halted
 
     def step(self, dt_s: float) -> StepResult:
         """Advance the machine by ``dt_s`` seconds.
@@ -1049,38 +1035,15 @@ class Machine:
             expiry = min(expiry, deadline)
         return expiry
 
-    def thermal_steady(self, socket_id: int) -> bool:
-        """Whether one more step would leave thermal state unchanged.
+    def _thermal_steady_mask(self, last: StepResult) -> np.ndarray:
+        """Per socket: would one more step leave thermal state unchanged?
 
         True exactly when replaying the last step's thermal update is a
         no-op: fully recovered credit below TDP, or exhausted credit under
-        sustained above-TDP throttling.
+        sustained above-TDP throttling.  Reads the last step's package
+        powers from the step buffers (which mirror :attr:`last_step` by
+        construction).
         """
-        last = self._last_step
-        if last is None:
-            return False
-        power = last.sockets[socket_id].power
-        p = self._socket_params[socket_id]
-        credit = float(self._thermal_credit[socket_id])
-        if power.package_w > p.tdp_w:
-            return credit <= 0.0 and bool(self._throttled[socket_id])
-        recovered = min(p.thermal_budget_s, credit + p.thermal_recovery_rate * last.dt_s)
-        if recovered != credit:
-            return False
-        throttled = bool(self._throttled[socket_id]) and (
-            credit < 0.5 * p.thermal_budget_s
-        )
-        return throttled == bool(self._throttled[socket_id])
-
-    def thermal_steady_all(self) -> bool:
-        """Vectorized :meth:`thermal_steady` over every socket at once.
-
-        Reads the last step's package powers from the step buffers
-        (which mirror :attr:`last_step` by construction).
-        """
-        last = self._last_step
-        if last is None:
-            return False
         credit = self._thermal_credit
         throttled = self._throttled
         pkg_w = self._buf_rapl_w[0::2]
@@ -1092,7 +1055,13 @@ class Machine:
         steady_below = (recovered == credit) & (
             ~throttled | (credit < self._half_budget_arr)
         )
-        return bool(np.where(above, steady_above, steady_below).all())
+        return np.where(above, steady_above, steady_below)
+
+    def thermal_steady_all(self) -> bool:
+        """Whether one more step would leave every socket's thermal state
+        unchanged (False before the first step)."""
+        last = self._last_step
+        return last is not None and bool(self._thermal_steady_mask(last).all())
 
     def span_step(self, dt_s: float, n_ticks: int) -> StepResult:
         """Advance ``n_ticks`` steps of ``dt_s`` in one steady-state span.
@@ -1114,12 +1083,10 @@ class Machine:
         last = self._last_step
         if last is None:
             raise ConfigurationError("span_step requires a preceding step")
-        if not self.thermal_steady_all():
-            for sid in self._socket_ids:
-                if not self.thermal_steady(sid):
-                    raise ConfigurationError(
-                        f"socket {sid} thermal state is not steady"
-                    )
+        steady = self._thermal_steady_mask(last)
+        if not steady.all():
+            sid = int(np.argmin(steady))
+            raise ConfigurationError(f"socket {sid} thermal state is not steady")
 
         t = self._time_s
         times = np.add.accumulate(

@@ -149,6 +149,53 @@ class TestForwarding:
         assert hubs[1].pending_messages == 1  # delivered on the new home
 
 
+    def test_in_flight_bank_chunk_splits_by_home(self):
+        # A columnar chunk buffered toward socket 1 when two of its
+        # partitions move: the still-home messages are delivered, the
+        # rest forwarded as one sub-chunk per new home, block order kept.
+        hubs = {
+            0: IntraSocketHub(0, [0, 3]),
+            1: IntraSocketHub(1, [1, 4, 7]),
+            2: IntraSocketHub(2, [2, 5]),
+        }
+        r = InterSocketRouter(hubs)
+        r.route_bank(
+            [0] * 6,
+            [1, 4, 7, 4, 1, 7],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            [0.0] * 6,
+            list(range(10, 16)),
+        )
+        assert r.buffered_count(0, 1) == 6
+        for pid, home in ((4, 2), (7, 0)):
+            hubs[home].adopt_partition(pid)
+            r.rehome_partition(pid, home)
+        stats = r.flush()
+        assert stats.messages_moved == 6
+        assert stats.forwarded == 4
+        assert hubs[1].pending_messages == 2
+        assert hubs[1].pending_cost_instructions() == 6.0
+        assert r.buffered_count(1, 0) == 2
+        assert r.buffered_count(1, 2) == 2
+        second = r.flush()
+        assert second.messages_moved == 4 and second.forwarded == 0
+
+        def drained(hub, pid):
+            assert hub.acquire_specific(99, pid)
+            return [m.query_id for m in hub.dequeue_batch(99, pid)]
+
+        assert drained(hubs[1], 1) == [10, 14]
+        assert drained(hubs[2], 4) == [11, 13]
+        assert drained(hubs[0], 7) == [12, 15]
+
+    def test_bank_with_unknown_partition_rejected(self, router):
+        r, hubs = router
+        with pytest.raises(MessagingError, match="unknown partition id 9"):
+            r.route_bank([0, 0], [0, 9], [1.0, 1.0], [0.0, 0.0], [1, 2])
+        assert r.total_buffered == 0
+        assert hubs[0].pending_messages == 0
+
+
 class TestTransferPartition:
     def test_transfer_rehomes_and_ships_queue(self, router):
         r, hubs = router

@@ -4,8 +4,10 @@ The SoA message plane must keep single-queue FIFO semantics under the
 awkward interleavings the migration and elasticity layers produce:
 deliveries into a quiesced (frozen) partition, acquisition tie-breaks
 after adoptions, workers parked mid-batch with a budget-cut round trip
-in flight, and arbitrary acquire→drain→release sequences (the hypothesis
-conservation property at the end).
+in flight, arbitrary acquire→drain→release sequences (the hypothesis
+conservation property), and — message for message — the drain order and
+accounting bits of the same stream fed one by one through the object
+lane (the differential test at the end).
 """
 
 import numpy as np
@@ -14,19 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbms.intra_socket import IntraSocketHub
-from repro.dbms.messages import Message, MessageKind, WorkCost
+from repro.dbms.messages import Message, WorkCost
 from repro.dbms.worker import CompletedRun, Worker
 
 
 def _bank(hub, targets, costs, first_qid=0):
     """Enqueue one compact bank (fan-out 1 per message) onto ``hub``."""
-    targets = np.asarray(targets, dtype=np.int64)
-    costs = np.asarray(costs, dtype=np.float64)
+    n = len(targets)
     hub.enqueue_bank(
-        targets,
-        costs,
-        np.zeros_like(costs),
-        np.arange(first_qid, first_qid + targets.size, dtype=np.int64),
+        [int(pid) for pid in targets],
+        [float(cost) for cost in costs],
+        [0.0] * n,
+        list(range(first_qid, first_qid + n)),
     )
 
 
@@ -229,3 +230,82 @@ def test_conservation_across_acquire_drain_release(batches, objects, budgets):
         assert used > 0.0
     assert sorted(drained) == list(range(enqueued))
     assert hub.pending_cost_instructions() == 0.0
+
+
+def _hub_bits(hub):
+    """The hub's accounting, exact to the bit."""
+    return (
+        hub.pending_messages,
+        hub.pending_cost_instructions().hex(),
+        [(chars, total.hex()) for chars, total in hub.pending_by_characteristics()],
+    )
+
+
+@pytest.mark.parametrize("budget", ["unbounded", "cut", "exact", "overdraw"])
+@pytest.mark.parametrize("size", [1, 32, 33, 100, 500])
+def test_compact_lane_matches_object_lane(size, budget):
+    """A bank drains exactly like the same messages enqueued one by one.
+
+    One hub takes a bank of ``size`` messages through
+    :meth:`IntraSocketHub.enqueue_bank` (the compact lane, a single head
+    run of ``size`` entries); the other gets the same messages through
+    :meth:`IntraSocketHub.enqueue` (the object lane, drained one message
+    at a time).  Quantum by quantum, both must consume the same
+    instructions, complete the same query ids in the same order and
+    leave the same pending sums, bit for bit.  The budgets drive every
+    exit of the compact drain cut: a whole run, a cut with a round trip
+    of the next message, a budget that dies exactly at a message
+    boundary, and the overdraw of a fresh quantum.
+    """
+    rng = np.random.default_rng(size)
+    costs = rng.uniform(1e3, 1e6, size) * rng.choice([1e-3, 1.0, 1e3], size)
+    if budget == "exact":
+        costs = np.floor(costs) + 1.0  # integers: the budget fold is exact
+    nbytes = rng.uniform(0.0, 1e4, size)
+    costs, nbytes = costs.tolist(), nbytes.tolist()
+    qids = list(range(1000, 1000 + size))
+
+    compact = IntraSocketHub(0, [1, 2])
+    compact.enqueue_bank([1] * size, costs, nbytes, qids)
+    objects = IntraSocketHub(0, [1, 2])
+    for qid, cost, nb in zip(qids, costs, nbytes):
+        objects.enqueue(
+            Message(
+                query_id=qid,
+                target_partition=1,
+                cost=WorkCost(instructions=cost, bytes_accessed=nb),
+            )
+        )
+    assert compact.modeled_run(1) == size
+    assert _hub_bits(compact) == _hub_bits(objects)
+
+    total = 0.0
+    for cost in costs:
+        total += cost
+    quantum = {
+        "unbounded": 2.0 * total,
+        "cut": total / 3.0,
+        "exact": float(sum(costs[: size // 2 + 1])),
+        "overdraw": 0.5 * min(costs),
+    }[budget]
+    workers = [
+        Worker(worker_id=1, socket_id=0, hw_thread_id=0) for _ in range(2)
+    ]
+    drained = []
+    while objects.pending_messages:
+        steps = [
+            worker.process_quantum(hub, None, quantum)
+            for worker, hub in zip(workers, (compact, objects))
+        ]
+        (used_c, done_c), (used_o, done_o) = steps
+        assert used_c.hex() == used_o.hex()
+        assert _drain_qids(done_c) == _drain_qids(done_o)
+        assert done_o, "every quantum makes progress"
+        drained += _drain_qids(done_o)
+        assert _hub_bits(compact) == _hub_bits(objects)
+    assert drained == qids
+    assert compact.pending_messages == 0
+    stats_c, stats_o = (worker.stats for worker in workers)
+    assert stats_c.instructions_consumed.hex() == stats_o.instructions_consumed.hex()
+    assert stats_c.bytes_accessed.hex() == stats_o.bytes_accessed.hex()
+    assert stats_c.messages_processed == stats_o.messages_processed == size

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.hardware.firestarter import apply_full_load, apply_idle
 from repro.hardware.machine import Machine
 
@@ -66,3 +67,26 @@ class TestThermalThrottling:
         assert machine.thermal_credit_s(0) == pytest.approx(
             machine.params.thermal_budget_s
         )
+
+
+class TestThermalSteadiness:
+    """Macro spans may only cover ticks whose thermal update is a no-op."""
+
+    def test_no_step_is_not_steady(self, machine: Machine):
+        assert not machine.thermal_steady_all()
+
+    def test_recovered_idle_machine_is_steady(self, machine: Machine):
+        apply_idle(machine)
+        machine.step(0.5)
+        assert machine.thermal_steady_all()
+        machine.span_step(0.5, 3)  # accepted
+
+    def test_draining_socket_blocks_spans_and_is_named(self, machine: Machine):
+        apply_full_load(machine, turbo=True)
+        machine.apply_socket_threads(0, set())  # socket 0 parks and cools
+        machine.step(0.5)
+        assert machine.thermal_credit_s(0) == machine.params.thermal_budget_s
+        assert machine.thermal_credit_s(1) < machine.params.thermal_budget_s
+        assert not machine.thermal_steady_all()
+        with pytest.raises(ConfigurationError, match="socket 1 thermal"):
+            machine.span_step(0.5, 3)

@@ -9,7 +9,7 @@ match is equivalent to ``RunResult ==``: energies, every sample point,
 every latency.  The pin tests (:mod:`tests.sim.test_golden_ab` and
 :mod:`tests.sim.test_soa_ab`) re-run each cell once and compare.
 
-Two families of cells share the file:
+Three families of cells share the file:
 
 * ``ecl``, ``baseline``, ``ondemand`` — the pre-registry goldens (4 s
   spike, seed 0).  First captured at commit ``8ac9f6e`` (the last commit
@@ -25,6 +25,12 @@ Two families of cells share the file:
   ``ecl-consolidate`` migration wave, and ECL on TATP (the object lane).
   Captured at ``fe4c03a``, the last commit with both planes, after
   asserting cell by cell that the two planes agreed bit for bit.
+* ``overload/...`` — ECL and the baseline on indexed KV under a 1.6x
+  Poisson spike (3 s, seed 5): the long-run regime, where banks, routed
+  blocks and drained runs exceed 32 messages.  Captured at ``ca10610``,
+  the last commit whose message plane switched to numpy folds above 32
+  messages, so matching them keeps the one remaining fold identical to
+  both.
 
 Regenerate (only when an *intentional* simulation-model change lands —
 note the capture commit in this docstring when you do)::
@@ -60,6 +66,11 @@ MATRIX_POLICIES = (
     "performance",
 )
 
+#: The long-run cells: indexed KV under a spike whose plateau overloads
+#: the machine, so per-partition runs of hundreds of messages queue up.
+OVERLOAD_POLICIES = ("ecl", "baseline")
+OVERLOAD_FRACTION = 1.6
+
 
 @dataclass(frozen=True)
 class GoldenCell:
@@ -69,9 +80,12 @@ class GoldenCell:
     policy: str
     duration_s: float = 3.0
     seed: int = 5
-    workload: str = "kv"  # "kv" or "tatp", non-indexed either way
+    workload: str = "kv"  # "kv" or "tatp"
+    variant: str = "non-indexed"  # a WorkloadVariant value
     #: ``None`` = the spike; otherwise a constant load fraction.
     constant_fraction: float | None = None
+    #: The spike's overload plateau; ``None`` = the profile's default.
+    overload_fraction: float | None = None
     poisson: bool = False
     macro_step: bool = True
     cluster: str | None = None  # "homogeneous" or "mixed", 3 nodes
@@ -91,9 +105,12 @@ class GoldenCell:
 
         workload = {"kv": KeyValueWorkload, "tatp": TatpWorkload}[
             self.workload
-        ](WorkloadVariant.NON_INDEXED)
+        ](WorkloadVariant(self.variant))
         if self.constant_fraction is None:
-            profile = spike_profile(duration_s=self.duration_s)
+            spike = {}
+            if self.overload_fraction is not None:
+                spike["overload_fraction"] = self.overload_fraction
+            profile = spike_profile(duration_s=self.duration_s, **spike)
         else:
             profile = constant_profile(
                 self.constant_fraction, duration_s=self.duration_s
@@ -156,6 +173,16 @@ def _cells() -> tuple[GoldenCell, ...]:
     cells += [
         GoldenCell("ab/ecl/tatp", "ecl", workload="tatp"),
         GoldenCell("ab/ecl/tatp-per-tick", "ecl", workload="tatp", macro_step=False),
+    ]
+    cells += [
+        GoldenCell(
+            f"overload/{policy}",
+            policy,
+            variant="indexed",
+            overload_fraction=OVERLOAD_FRACTION,
+            poisson=True,
+        )
+        for policy in OVERLOAD_POLICIES
     ]
     return tuple(cells)
 

@@ -11,16 +11,21 @@ machine clock and worker-pool counters, compared exactly.
 
 The matrix: every registered control policy under both arrival modes,
 per-tick stepping, the cluster presets, a consolidation wave, and ECL
-on TATP — whose multi-stage queries run on the object lane.
+on TATP — whose multi-stage queries run on the object lane.  The
+``overload/...`` cells add the long-run regime: routed blocks, hub
+banks and queued runs of more than 32 messages.
 """
 
 import pytest
 
+from repro.dbms.inter_socket import InterSocketRouter
+from repro.dbms.intra_socket import IntraSocketHub
 from repro.sim import registered_policies
 
 from .golden_config import (
     GOLDEN_CELLS,
     MATRIX_POLICIES,
+    OVERLOAD_POLICIES,
     assert_matches_golden,
     matrix_cell_name,
 )
@@ -75,3 +80,34 @@ class TestObjectLane:
         run rides the object lane, per-query tracker state included."""
         _, runner = assert_matches_golden(f"ab/ecl/{stepping}")
         assert runner.engine.tracker.completed_count > 0
+
+
+class TestLongRuns:
+    @pytest.mark.parametrize("policy", OVERLOAD_POLICIES)
+    def test_overload_matches_golden(self, policy):
+        assert_matches_golden(f"overload/{policy}")
+
+    def test_overload_cell_drives_long_runs(self, monkeypatch):
+        """The overload pin covers long runs only while the cell still
+        produces them: count the routed blocks, hub banks and queued
+        head runs longer than 32 messages."""
+        long = {"route_bank": 0, "enqueue_bank": 0, "modeled_run": 0}
+
+        def counting(cls, name, size_of):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                value = original(self, *args)
+                if size_of(args, value) > 32:
+                    long[name] += 1
+                return value
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(InterSocketRouter, "route_bank", lambda args, _: len(args[1]))
+        counting(IntraSocketHub, "enqueue_bank", lambda args, _: len(args[0]))
+        counting(IntraSocketHub, "modeled_run", lambda _, run: run)
+        GOLDEN_CELLS["overload/ecl"].run()
+        assert long["route_bank"] > 100, long
+        assert long["enqueue_bank"] > 20, long
+        assert long["modeled_run"] > 10_000, long
