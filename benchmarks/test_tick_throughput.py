@@ -16,7 +16,10 @@ stepping, vectorized arrival/completion hot path).  Two parts:
   checked-in floor);
 * the **overload spike row** — indexed KV under a 1.6x Poisson spike,
   the long-run regime of the message plane (routed blocks, hub banks
-  and queued partition runs of hundreds of messages).
+  and queued partition runs of hundreds of messages);
+* the **TATP row** — ECL on non-indexed TATP over the paper's Twitter
+  profile: the object lane, two-stage queries and the router, with an
+  arrival on nearly every tick, so almost every span attempt is refused.
 
 Environment knobs: ``REPRO_BENCH_DAY_DURATION`` scales the simulated
 day (default 86.4 s = 1000x-compressed 24 h).
@@ -29,10 +32,20 @@ from pathlib import Path
 
 from repro.environment import make_environment
 from repro.hardware.cluster import homogeneous_cluster
-from repro.loadprofiles import sine_profile, spike_profile, twitter_day_profile
+from repro.loadprofiles import (
+    sine_profile,
+    spike_profile,
+    twitter_day_profile,
+    twitter_profile,
+)
 from repro.sim import RunConfiguration, SimulationRunner, registered_policies
 from repro.telemetry import PhaseTimingObserver, TraceRecorder
-from repro.workloads import KeyValueWorkload, SsbWorkload, WorkloadVariant
+from repro.workloads import (
+    KeyValueWorkload,
+    SsbWorkload,
+    TatpWorkload,
+    WorkloadVariant,
+)
 
 from _shared import heading
 
@@ -108,6 +121,13 @@ OVERLOAD_DURATION_S = 20.0
 OVERLOAD_FRACTION = 1.6
 OVERLOAD_SEED = 5
 MIN_OVERLOAD_TICKS_PER_S = {"baseline": 700.0, "ecl": 600.0}
+
+#: The TATP row: ECL on non-indexed TATP, Twitter profile, macro on.
+#: The floor sits about 2x under the slowest of five interleaved runs
+#: on a shared 2-core VM (2381-3478 ticks/s; see EXPERIMENTS.md).
+TATP_DURATION_S = 15.0
+TATP_SEED = 0
+MIN_TATP_TICKS_PER_S = 1200.0
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_tick_throughput.json"
 
@@ -407,3 +427,54 @@ def test_overload_spike_floor(run_once):
         assert cell["queries_completed"] == cell["queries_submitted"], policy
         assert cell["pending_peak"] > 32, policy
         assert cell["ticks_per_s"] > floor, policy
+
+
+def _measure_tatp(macro: bool) -> dict:
+    config = RunConfiguration(
+        workload=TatpWorkload(WorkloadVariant.NON_INDEXED),
+        profile=twitter_profile(duration_s=TATP_DURATION_S),
+        policy="ecl",
+        seed=TATP_SEED,
+        macro_step=macro,
+    )
+    runner = SimulationRunner(config)
+    ticks = round(TATP_DURATION_S / config.tick_s)
+    start = time.perf_counter()
+    result = runner.run()
+    elapsed = time.perf_counter() - start
+    return {
+        "wall_s": round(elapsed, 4),
+        "ticks_per_s": round(ticks / elapsed, 1),
+        "ticks_skipped": runner.macro_ticks_skipped,
+        "energy_j": result.total_energy_j,
+        "latencies_s": result.latencies_s,
+        "queries_submitted": result.queries_submitted,
+        "queries_completed": result.queries_completed,
+    }
+
+
+def test_tatp_floor(run_once):
+    """The object lane under TATP stays above its floor, bit-identically.
+
+    Nearly every tick of this run carries arrivals, so the row measures
+    the live tick of two-stage queries (fabrication, routing, the object
+    lane) plus the cost of the span attempts that get refused.
+    """
+    cells = run_once(
+        lambda: {"macro_off": _measure_tatp(False), "macro_on": _measure_tatp(True)}
+    )
+
+    heading("TATP (non-indexed) on the Twitter profile — ecl")
+    for mode, cell in cells.items():
+        print(
+            f"{mode:>10}: {cell['ticks_per_s']:10,.0f} ticks/s  "
+            f"({cell['wall_s']:.2f} s wall, {cell['ticks_skipped']} skipped)"
+        )
+
+    off, on = cells["macro_off"], cells["macro_on"]
+    assert on["queries_submitted"] > 0
+    assert on["energy_j"] == off["energy_j"]
+    assert on["latencies_s"] == off["latencies_s"]
+    assert on["queries_submitted"] == off["queries_submitted"]
+    assert on["queries_completed"] == off["queries_completed"]
+    assert on["ticks_per_s"] > MIN_TATP_TICKS_PER_S

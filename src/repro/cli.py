@@ -522,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "this JSONL file")
     run_p.add_argument("--timings", action="store_true",
                        help="print wall-time attribution across the five "
-                            "pipeline phases")
+                            "pipeline phases and the macro-span attempts "
+                            "between live ticks")
     run_p.add_argument("--profile-out", metavar="PATH",
                        help="profile the tick loop with cProfile and write "
                             "the pstats dump to PATH")

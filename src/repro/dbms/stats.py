@@ -14,61 +14,80 @@ Two signal sources feed the ECL (paper §5):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.errors import ControlError
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One completed query's latency observation."""
-
-    completion_s: float
-    latency_s: float
-
-
 class LatencyTracker:
-    """Sliding-window average latency and its trend."""
+    """Sliding-window average latency and its trend.
+
+    The window is two parallel float deques (completion times and
+    latencies).  The window mean is memoized on a version stamp that
+    :meth:`record` and a sample-dropping :meth:`prune` bump, so the
+    repeated reads of one system-ECL check (the average, then the
+    trend's mean inside ``time_to_violation_s``) scan the window once.
+    Every statistic stays a left-to-right builtin ``sum`` over the
+    window's floats — no running totals — so results are bit-identical
+    to rescanning per call.
+    """
 
     def __init__(self, window_s: float = 5.0):
         if window_s <= 0:
             raise ControlError(f"window must be > 0, got {window_s}")
         self.window_s = window_s
-        self._samples: deque[LatencySample] = deque()
+        self._times: deque[float] = deque()
+        self._latencies: deque[float] = deque()
         self.total_completed = 0
         self._max_latency_s = 0.0
+        self._version = 0
+        self._mean_version = -1
+        self._mean_latency = 0.0
 
     def record(self, completion_s: float, latency_s: float) -> None:
         """Record one completed query."""
         if latency_s < 0:
             raise ControlError(f"negative latency {latency_s}")
-        self._samples.append(
-            LatencySample(completion_s=completion_s, latency_s=latency_s)
-        )
+        self._times.append(completion_s)
+        self._latencies.append(latency_s)
+        self._version += 1
         self.total_completed += 1
         self._max_latency_s = max(self._max_latency_s, latency_s)
 
     def prune(self, now_s: float) -> None:
         """Drop samples older than the window."""
         horizon = now_s - self.window_s
-        while self._samples and self._samples[0].completion_s < horizon:
-            self._samples.popleft()
+        times = self._times
+        if not times or times[0] >= horizon:
+            return
+        latencies = self._latencies
+        while times and times[0] < horizon:
+            times.popleft()
+            latencies.popleft()
+        self._version += 1
 
     def sample_count(self) -> int:
         """Samples currently inside the window."""
-        return len(self._samples)
+        return len(self._times)
 
     @property
     def max_latency_s(self) -> float:
         """Largest latency ever observed (for reports)."""
         return self._max_latency_s
 
+    def _mean_latency_s(self) -> float:
+        """Mean of a non-empty window, rescanned only after a change."""
+        if self._mean_version != self._version:
+            latencies = self._latencies
+            self._mean_latency = sum(latencies) / len(latencies)
+            self._mean_version = self._version
+        return self._mean_latency
+
     def average_latency_s(self, now_s: float) -> float | None:
         """Window-average latency, or None with no samples."""
         self.prune(now_s)
-        if not self._samples:
+        if not self._times:
             return None
-        return sum(s.latency_s for s in self._samples) / len(self._samples)
+        return self._mean_latency_s()
 
     def trend_s_per_s(self, now_s: float) -> float:
         """Least-squares slope of latency over completion time.
@@ -77,17 +96,18 @@ class LatencyTracker:
         than two samples are available or the window has no time spread.
         """
         self.prune(now_s)
-        n = len(self._samples)
+        times = self._times
+        n = len(times)
         if n < 2:
             return 0.0
-        mean_t = sum(s.completion_s for s in self._samples) / n
-        mean_l = sum(s.latency_s for s in self._samples) / n
-        sxx = sum((s.completion_s - mean_t) ** 2 for s in self._samples)
+        mean_t = sum(times) / n
+        mean_l = self._mean_latency_s()
+        sxx = sum((t - mean_t) ** 2 for t in times)
         if sxx <= 0:
             return 0.0
         sxy = sum(
-            (s.completion_s - mean_t) * (s.latency_s - mean_l)
-            for s in self._samples
+            (t - mean_t) * (latency - mean_l)
+            for t, latency in zip(times, self._latencies)
         )
         return sxy / sxx
 

@@ -155,6 +155,17 @@ class LoadGenerator:
         self._materialize_through(block)
         return int(self._blocks[block][k - block * BLOCK_TICKS])
 
+    def arrival_due(self, t_s: float, dt_s: float) -> bool:
+        """Whether the tick of ``t_s`` has a pre-drawn arrival.
+
+        Exactly ``zero_arrival_run(t_s, dt_s, 1) == 0`` as a scalar read
+        of the pre-drawn block: the macro-span executor asks it on every
+        attempt, before any other horizon.
+        """
+        if self._anchor_t0 is None or dt_s != self._anchor_dt:
+            return True
+        return self._count_at(self._tick_index(t_s, dt_s)) > 0
+
     def zero_arrival_run(self, t_s: float, dt_s: float, max_ticks: int) -> int:
         """Consecutive zero-arrival ticks starting at the tick of ``t_s``.
 

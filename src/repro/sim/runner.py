@@ -264,7 +264,11 @@ class SimulationRunner:
         """Attempt one composite steady-state span after a live tick.
 
         A composite span is a sequence of *segments* separated by
-        replayed control ticks.  Each iteration computes the event
+        replayed control ticks.  Each iteration first peeks at the
+        pre-drawn arrivals: an arrival due at the current tick ends the
+        attempt, attributed to ``"loadgen"``, before any horizon is
+        asked for (nearly every attempt on a busy run ends here).
+        Otherwise it computes the event
         horizon — the policy's own view (which also yields the per-tick
         overhead charges it would have applied), the observers'
         deadlines, and the machine's next internal event — sized down to
@@ -305,6 +309,12 @@ class SimulationRunner:
         while ticks_remaining - total >= 1:
             remaining = ticks_remaining - total
             now = machine.time_s
+            # An arrival due at ``now`` blocks both a segment and a
+            # replay (each needs an arrival-free first tick), so refuse
+            # before asking anything else for its horizon.
+            if self.loadgen.arrival_due(now, tick_s):
+                binding = "loadgen"
+                break
             # Exogenous-signal changes cap spans like boot deadlines do:
             # accounting folds exactly either way (signals are evaluated
             # on the span's full tick grid), but the change itself must
@@ -321,16 +331,12 @@ class SimulationRunner:
                 reason = getattr(policy, "macro_cut", "")
                 # The next tick acts — but if the action is hardware-
                 # inert it can replay here, at its exact time, provided
-                # nothing else touches that tick first: no arrivals and
-                # no observer due at ``now`` (observers may mutate state
-                # *before* the control phase).  The same-time guard
-                # breaks a pathological replay that fails to clear the
-                # policy's own busy condition.
-                if (
-                    macro_step_tick is not None
-                    and now != replayed_at_s
-                    and self.loadgen.zero_arrival_run(now, tick_s, 1) >= 1
-                ):
+                # nothing else touches that tick first: no arrivals (the
+                # check above) and no observer due at ``now`` (observers
+                # may mutate state *before* the control phase).  The
+                # same-time guard breaks a pathological replay that fails
+                # to clear the policy's own busy condition.
+                if macro_step_tick is not None and now != replayed_at_s:
                     obs_h, _ = observers.attributed_macro_horizon_s(now)
                     if (
                         obs_h is not None

@@ -9,7 +9,8 @@ first-class instrumentation behind them:
   before/after hardware control state, completions, samples) with JSONL
   export;
 * :class:`~repro.telemetry.phases.PhaseTimingObserver` — wall-time
-  attribution across the five pipeline phases of one run;
+  attribution across the five pipeline phases of one run, plus the
+  macro-span attempt between live ticks;
 * :mod:`~repro.telemetry.export` — suite-level summary tables
   (CSV / markdown) over :class:`~repro.sim.metrics.RunResult` objects,
   cache-directory loading, and markdown reports rendered from a trace.
@@ -30,6 +31,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.phases import (
     PIPELINE_PHASES,
+    TIMED_ROWS,
     PhaseTimingObserver,
     PhaseTimings,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "control_state",
     "read_trace",
     "PIPELINE_PHASES",
+    "TIMED_ROWS",
     "PhaseTimingObserver",
     "PhaseTimings",
     "cached_results",

@@ -6,7 +6,9 @@ where the wall time goes tells you whether a slow experiment is paying
 for load generation, the control policy, or the engine model.
 :class:`PhaseTimingObserver` reads a monotonic clock at each phase
 boundary hook and accumulates per-phase totals — pure observation, no
-effect on simulated behaviour.
+effect on simulated behaviour.  It is macro-aware: attaching it leaves
+span stepping on, and the table reports the skipped ticks next to the
+live ones.
 
 Attribution notes:
 
@@ -14,9 +16,13 @@ Attribution notes:
   observer's own hook — attach it **last** (the runner appends extra
   observers after the built-ins, so the default placement is right) so
   the built-in sampler's work lands in the bucket;
-* work of observers attached *after* this one, and the loop bookkeeping
-  between ticks, is uncounted — the table reports the gap as
-  ``untimed``.
+* the *macro* row (:data:`BETWEEN_TICKS`) is the wall time from one
+  live tick's ``end_tick`` to the next tick's ``before_arrivals`` (or
+  the run's end): the environment accounting plus the macro-span
+  attempt — committed span segments, replays and refusals alike — and
+  the hooks of observers attached after this one;
+* the run set-up before the first tick is uncounted — the table
+  reports it as ``untimed``.
 """
 
 from __future__ import annotations
@@ -35,34 +41,44 @@ if TYPE_CHECKING:
 #: The five pipeline phases, in tick order.
 PIPELINE_PHASES = ("arrivals", "control", "engine", "completions", "sampling")
 
+#: The timing row between two live ticks: environment accounting plus
+#: the macro-span attempt.
+BETWEEN_TICKS = "macro"
+
+#: Every row of the timing table, in table order.
+TIMED_ROWS = PIPELINE_PHASES + (BETWEEN_TICKS,)
+
 
 @dataclass(frozen=True)
 class PhaseTimings:
     """Per-phase wall-time totals of one run.
 
     Attributes:
-        seconds: wall seconds attributed to each pipeline phase.
-        ticks: ticks executed.
+        seconds: wall seconds attributed to each row of
+            :data:`TIMED_ROWS`.
+        ticks: live ticks executed.
         wall_s: total wall time between run start and run end.
+        skipped_ticks: ticks the macro-stepping runner skipped.
     """
 
     seconds: Mapping[str, float]
     ticks: int
     wall_s: float
+    skipped_ticks: int = 0
 
     @property
     def measured_s(self) -> float:
-        """Wall time attributed to any phase."""
+        """Wall time attributed to any row."""
         return sum(self.seconds.values())
 
     @property
     def untimed_s(self) -> float:
-        """Run wall time outside every phase bucket (loop overhead,
-        observers attached after the timer)."""
+        """Run wall time outside every row (the set-up before the
+        first tick)."""
         return max(0.0, self.wall_s - self.measured_s)
 
     def per_tick_us(self, phase: str) -> float:
-        """Mean microseconds one tick spends in ``phase``."""
+        """Mean microseconds per live tick spent in ``phase``."""
         if self.ticks == 0:
             return 0.0
         return 1e6 * self.seconds[phase] / self.ticks
@@ -72,7 +88,7 @@ class PhaseTimings:
         header = f"{'phase':>12} {'wall s':>9} {'share':>7} {'us/tick':>9}"
         rows = [header, "-" * len(header)]
         denominator = self.wall_s if self.wall_s > 0 else 1.0
-        for phase in PIPELINE_PHASES:
+        for phase in TIMED_ROWS:
             seconds = self.seconds[phase]
             rows.append(
                 f"{phase:>12} {seconds:9.3f} {seconds / denominator:7.1%} "
@@ -84,7 +100,9 @@ class PhaseTimings:
         )
         rows.append(
             f"total {self.wall_s:.3f} s over {self.ticks} ticks "
-            f"({1e6 * self.wall_s / self.ticks if self.ticks else 0.0:.1f} us/tick)"
+            f"+ {self.skipped_ticks} skipped "
+            f"({1e6 * self.wall_s / self.ticks if self.ticks else 0.0:.1f} "
+            "us/live tick)"
         )
         return "\n".join(rows)
 
@@ -99,15 +117,19 @@ class PhaseTimingObserver(RunObserver):
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
-        self._seconds = {phase: 0.0 for phase in PIPELINE_PHASES}
+        self._seconds = {row: 0.0 for row in TIMED_ROWS}
         self._ticks = 0
+        self._skipped_ticks = 0
+        self._runner: "SimulationRunner | None" = None
         self._run_start: float | None = None
         self._wall_s = 0.0
         self._mark = 0.0
 
     def on_run_start(self, runner: "SimulationRunner", result: "RunResult") -> None:
-        self._seconds = {phase: 0.0 for phase in PIPELINE_PHASES}
+        self._seconds = {row: 0.0 for row in TIMED_ROWS}
         self._ticks = 0
+        self._skipped_ticks = 0
+        self._runner = runner
         self._wall_s = 0.0
         self._run_start = self._clock()
 
@@ -117,7 +139,10 @@ class PhaseTimingObserver(RunObserver):
         self._mark = now
 
     def before_arrivals(self, now_s: float, dt_s: float) -> None:
-        self._mark = self._clock()
+        if self._ticks:
+            self._advance(BETWEEN_TICKS)
+        else:
+            self._mark = self._clock()
 
     def after_arrivals(self, now_s: float, dt_s: float) -> None:
         self._advance("arrivals")
@@ -137,7 +162,19 @@ class PhaseTimingObserver(RunObserver):
 
     def on_run_end(self, result: "RunResult") -> None:
         assert self._run_start is not None
-        self._wall_s = self._clock() - self._run_start
+        if self._ticks:
+            self._advance(BETWEEN_TICKS)
+            end = self._mark
+        else:
+            end = self._clock()
+        self._wall_s = end - self._run_start
+        if self._runner is not None:
+            self._skipped_ticks = self._runner.macro_ticks_skipped
+
+    def macro_horizon_s(self, now_s: float) -> float:
+        # The hooks only read the clock and count live ticks, so spans
+        # may leap past this observer.
+        return float("inf")
 
     @property
     def timings(self) -> PhaseTimings:
@@ -146,4 +183,5 @@ class PhaseTimingObserver(RunObserver):
             seconds=dict(self._seconds),
             ticks=self._ticks,
             wall_s=self._wall_s,
+            skipped_ticks=self._skipped_ticks,
         )

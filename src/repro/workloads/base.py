@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 
 import numpy as np
 
@@ -169,3 +170,16 @@ def pick_partitions(
     if count == total:
         return list(range(total))
     return [int(p) for p in rng.choice(total, size=count, replace=False)]
+
+
+def require_size(name: str, value: float) -> None:
+    """Reject a per-query workload size that is not a finite number >= 1.
+
+    A NaN or infinite size would make every arrival rate NaN or zero, and
+    the run would silently submit no queries at all.
+
+    Raises:
+        ValueError: for NaN, infinite, or sub-1 sizes.
+    """
+    if not math.isfinite(value) or value < 1:
+        raise ValueError(f"{name} must be a finite number >= 1, got {value}")

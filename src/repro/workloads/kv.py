@@ -18,6 +18,8 @@ hardware sees (the per-op costs and byte counts are unchanged).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.dbms.execution import (
@@ -32,7 +34,12 @@ from repro.dbms.queries import Query, QueryStage
 from repro.hardware.perfmodel import WorkloadCharacteristics
 from repro.storage.partition import PartitionMap, hash_partition
 from repro.storage.schema import DataType, Schema
-from repro.workloads.base import Workload, WorkloadVariant, pick_partitions
+from repro.workloads.base import (
+    Workload,
+    WorkloadVariant,
+    pick_partitions,
+    require_size,
+)
 
 #: Key space of the benchmark (4-byte keys).
 KEY_SPACE = 2**31 - 1
@@ -75,10 +82,9 @@ class KeyValueWorkload(Workload):
             # Indexed ops are ~3 orders of magnitude cheaper; batch more of
             # them so one simulated query is a comparable unit of work.
             ops_per_query = 25 if not self.is_indexed else 100_000
-        if ops_per_query < 1:
-            raise ValueError(f"ops_per_query must be >= 1, got {ops_per_query}")
-        if skew < 0.0:
-            raise ValueError(f"skew must be >= 0, got {skew}")
+        require_size("ops_per_query", ops_per_query)
+        if not math.isfinite(skew) or skew < 0.0:
+            raise ValueError(f"skew must be a finite number >= 0, got {skew}")
         self.ops_per_query = ops_per_query
         #: Zipf-like partition skew: 0 = uniform; larger values focus the
         #: requests on fewer partitions.  Exercises the elasticity layer's

@@ -21,10 +21,20 @@ from repro.workloads import KeyValueWorkload, WorkloadVariant
 DURATION_S = 3.0
 
 
-def _run(policy, *, macro, environment="diurnal-carbon", nodes=1, poisson=False):
+def _run(
+    policy,
+    *,
+    macro,
+    environment="diurnal-carbon",
+    nodes=1,
+    poisson=False,
+    ops_per_query=None,
+):
     profile = spike_profile(duration_s=DURATION_S)
     config = RunConfiguration(
-        workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
+        workload=KeyValueWorkload(
+            WorkloadVariant.NON_INDEXED, ops_per_query=ops_per_query
+        ),
         profile=profile,
         policy=policy,
         seed=5,
@@ -76,9 +86,13 @@ class TestMacroIdentityWithEnvironment:
 
     def test_spans_are_cut_at_signal_changes(self):
         """The diurnal preset changes 23 times over the run; at least
-        some span attempts must be bounded by the environment (the
-        change tick has to run live)."""
-        _, runner = _run("baseline", macro=True)
+        some span attempts must be bounded by the environment.
+
+        The run is light (1000 ops per query, an arrival about every
+        15 ticks).  On a busy run nearly every attempt meets an arrival
+        at its first tick, and the runner's arrival peek claims those
+        attempts for ``loadgen`` before the environment is asked."""
+        _, runner = _run("baseline", macro=True, ops_per_query=1000)
         assert runner.macro_ticks_skipped > 0
         cuts = runner.span_cut_stats()["cut_by"]
         assert cuts.get("environment", 0) > 0

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.loadprofiles import constant_profile
+from repro.loadprofiles import constant_profile, twitter_day_profile
 from repro.sim import RunConfiguration, SimulationRunner
-from repro.telemetry import PIPELINE_PHASES, PhaseTimingObserver
+from repro.telemetry import TIMED_ROWS, PhaseTimingObserver
 from repro.workloads import KeyValueWorkload, WorkloadVariant
+from tests.sim.golden_config import result_digest
 
 
 def config(duration_s=1.0):
@@ -41,12 +42,17 @@ class TestFakeClockAttribution:
 
         timings = timer.timings
         assert timings.ticks == 3
-        for phase in PIPELINE_PHASES:
-            assert timings.seconds[phase] == pytest.approx(3.0)
-        assert timings.measured_s == pytest.approx(15.0)
-        # run_start read t=1, run_end read t=20: 19 s wall, 4 untimed.
+        assert timings.skipped_ticks == 0
+        # The "macro" row gets the gap after each tick's end_tick: up to
+        # the next tick's before_arrivals, and after the last tick up to
+        # run end.
+        for row in TIMED_ROWS:
+            assert timings.seconds[row] == pytest.approx(3.0)
+        assert timings.measured_s == pytest.approx(18.0)
+        # run_start read t=1, run_end read t=20: 19 s wall; only the
+        # set-up before the first tick (t=1 -> t=2) is untimed.
         assert timings.wall_s == pytest.approx(19.0)
-        assert timings.untimed_s == pytest.approx(4.0)
+        assert timings.untimed_s == pytest.approx(1.0)
         assert timings.per_tick_us("engine") == pytest.approx(1e6)
 
     def test_table_renders_every_phase(self):
@@ -60,10 +66,10 @@ class TestFakeClockAttribution:
         timer.end_tick(0.0, None)
         timer.on_run_end(None)
         table = timer.timings.table()
-        for phase in PIPELINE_PHASES:
-            assert phase in table
+        for row in TIMED_ROWS:
+            assert row in table
         assert "untimed" in table
-        assert "1 ticks" in table
+        assert "1 ticks + 0 skipped" in table
 
     def test_zero_tick_timings_are_safe(self):
         timings = PhaseTimingObserver().timings
@@ -75,11 +81,14 @@ class TestFakeClockAttribution:
 class TestRealRun:
     def test_attributes_the_whole_run(self):
         timer = PhaseTimingObserver()
-        result = SimulationRunner(config(), observers=[timer]).run()
+        runner = SimulationRunner(config(), observers=[timer])
+        result = runner.run()
         timings = timer.timings
-        assert timings.ticks == 500  # 1.0 s at 2 ms
+        # 1.0 s at 2 ms, live and skipped together.
+        assert timings.ticks + timings.skipped_ticks == 500
+        assert timings.skipped_ticks == runner.macro_ticks_skipped
         assert result.queries_completed > 0
-        assert all(timings.seconds[p] >= 0.0 for p in PIPELINE_PHASES)
+        assert all(timings.seconds[p] >= 0.0 for p in TIMED_ROWS)
         assert timings.measured_s > 0.0
         assert timings.measured_s <= timings.wall_s + 1e-6
         # The engine step dominates a simulation run.
@@ -92,3 +101,31 @@ class TestRealRun:
         ).run()
         assert timed.total_energy_j == plain.total_energy_j
         assert timed.latencies_s == plain.latencies_s
+
+
+class TestMacroAware:
+    """Attaching the timer must leave span stepping exactly as it was."""
+
+    @staticmethod
+    def day_config():
+        return RunConfiguration(
+            workload=KeyValueWorkload(WorkloadVariant.NON_INDEXED),
+            profile=twitter_day_profile(duration_s=8.64),
+            policy="ecl",
+            seed=3,
+        )
+
+    def test_timer_leaves_macro_stepping_and_results_unchanged(self):
+        plain = SimulationRunner(self.day_config())
+        plain_result = plain.run()
+        timer = PhaseTimingObserver()
+        timed = SimulationRunner(self.day_config(), observers=[timer])
+        timed_result = timed.run()
+
+        assert plain.macro_ticks_skipped > 0
+        assert timed.macro_ticks_skipped == plain.macro_ticks_skipped
+        assert result_digest(timed_result) == result_digest(plain_result)
+        assert timer.timings.skipped_ticks == plain.macro_ticks_skipped
+        assert timed.span_cut_stats() == plain.span_cut_stats()
+        table = timer.timings.table()
+        assert f"+ {plain.macro_ticks_skipped} skipped" in table

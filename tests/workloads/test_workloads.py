@@ -10,9 +10,12 @@ from repro.workloads import (
     WorkloadVariant,
 )
 from repro.workloads.micro import MICRO_WORKLOADS
+from repro.workloads.toa import TransactionOrientedTatpWorkload
 from repro.workloads.base import pick_partitions
 from repro.errors import WorkloadError
 
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 ALL_WORKLOADS = [
     KeyValueWorkload(WorkloadVariant.INDEXED),
@@ -103,6 +106,18 @@ class TestKeyValue:
         with pytest.raises(ValueError):
             KeyValueWorkload(ops_per_query=0)
 
+    @pytest.mark.parametrize("size", NON_FINITE, ids=repr)
+    def test_non_finite_batch_size_rejected(self, size):
+        # A NaN/inf size used to pass the >= 1 check and run a whole
+        # simulated day with zero queries submitted.
+        with pytest.raises(ValueError, match="ops_per_query"):
+            KeyValueWorkload(ops_per_query=size)
+
+    @pytest.mark.parametrize("skew", NON_FINITE[:2], ids=repr)
+    def test_non_finite_skew_rejected(self, skew):
+        with pytest.raises(ValueError, match="skew"):
+            KeyValueWorkload(skew=skew)
+
 
 class TestTatp:
     def test_mix_probabilities_sum_to_one(self):
@@ -119,6 +134,15 @@ class TestTatp:
         indexed = TatpWorkload(WorkloadVariant.INDEXED).average_transaction_cost()
         scans = TatpWorkload(WorkloadVariant.NON_INDEXED).average_transaction_cost()
         assert scans.instructions > 10 * indexed.instructions
+
+    @pytest.mark.parametrize("size", NON_FINITE, ids=repr)
+    def test_non_finite_batch_size_rejected(self, size):
+        with pytest.raises(ValueError, match="transactions_per_query"):
+            TatpWorkload(
+                WorkloadVariant.NON_INDEXED, transactions_per_query=size
+            )
+        with pytest.raises(ValueError, match="transactions_per_query"):
+            TransactionOrientedTatpWorkload(transactions_per_query=size)
 
     def test_modeled_query_has_secondary_hop(self, pmap, rng):
         query = TatpWorkload(WorkloadVariant.INDEXED).make_modeled_query(
