@@ -11,9 +11,10 @@ stepping, vectorized arrival/completion hot path).  Two parts:
   replayed per registered policy with macro-stepping on and off.  It
   asserts macro on/off bit-identity, the headline speedup, and a
   generous ticks/s floor, and writes the numbers to
-  ``BENCH_tick_throughput.json`` at the repo root (uploaded as a CI
-  artifact; the CI smoke fails when the macro-on rate drops below the
-  checked-in floor);
+  ``BENCH_tick_throughput.json`` at the repo root and appends them, keyed
+  by commit, to ``BENCH_history.jsonl`` (both uploaded as CI artifacts;
+  the CI smoke fails when the macro-on rate drops below the checked-in
+  floor);
 * the **overload spike row** — indexed KV under a 1.6x Poisson spike,
   the long-run regime of the message plane (routed blocks, hub banks
   and queued partition runs of hundreds of messages);
@@ -27,6 +28,7 @@ day (default 86.4 s = 1000x-compressed 24 h).
 
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -130,6 +132,24 @@ TATP_SEED = 0
 MIN_TATP_TICKS_PER_S = 1200.0
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_tick_throughput.json"
+#: Every matrix run also appends its payload here, one JSON line keyed by
+#: the commit it measured, so results accumulate instead of overwriting.
+HISTORY_PATH = RESULT_PATH.with_name("BENCH_history.jsonl")
+
+
+def _head_commit() -> str:
+    """``git rev-parse HEAD`` of the checkout, ``"unknown"`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=RESULT_PATH.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 def day_duration_s() -> float:
@@ -260,7 +280,8 @@ def test_twitter_day_macro_matrix(run_once):
 
     Asserts bit-identity (energy and query counts) per policy, the
     headline speedup and ticks/s floor, and writes the whole matrix to
-    ``BENCH_tick_throughput.json`` for the CI artifact.
+    ``BENCH_tick_throughput.json`` (appending it to ``BENCH_history.jsonl``)
+    for the CI artifacts.
     """
     policies = sorted(registered_policies())
     cluster_row = f"ecl-cluster@{CLUSTER_NODES}n"
@@ -331,7 +352,9 @@ def test_twitter_day_macro_matrix(run_once):
         "policies": matrix,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    with HISTORY_PATH.open("a") as history:
+        history.write(json.dumps({"commit": _head_commit(), **payload}) + "\n")
+    print(f"wrote {RESULT_PATH}, appended to {HISTORY_PATH}")
 
     # CI regression smoke: generous floors on the headline policy, plus
     # per-policy floors on the control-heavy policies the composite span

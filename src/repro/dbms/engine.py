@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.dbms.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.dbms.elasticity import ElasticWorkerPool
@@ -54,6 +52,7 @@ from repro.placement import (
     build_placement,
 )
 from repro.storage.partition import PartitionMap
+from repro.units import tick_grid
 
 #: Instruction quantum a worker receives per scheduling round inside a tick.
 #: (Default-config alias; tunable per run through ``EngineConfig``.)
@@ -162,8 +161,8 @@ class DatabaseEngine:
         #: re-resolution between drains re-reads the same blend.
         self._blend_cache: dict[int, tuple[int, WorkloadCharacteristics, WorkloadCharacteristics]] = {}
         #: Per-socket memo of the last declared SocketLoad: steady ticks
-        #: (same blend, same demand) re-declare the identical object, so
-        #: the machine's one-slot resolve memo can hit on identity.
+        #: (same blend, same demand) re-declare the identical object
+        #: instead of building a new frozen dataclass per socket per tick.
         self._load_cache: dict[int, SocketLoad] = {}
 
     # -- workload declaration ---------------------------------------------------
@@ -605,16 +604,7 @@ class DatabaseEngine:
         # and replay the balance / utilization updates per tick.  Once
         # the balance hits its fixed point the remaining samples are all
         # identical, so they are appended in one bulk call.
-        if n_valid >= 32:
-            times = np.add.accumulate(
-                np.concatenate(([machine.time_s], np.full(n_valid, dt_s)))
-            )[1:].tolist()
-        else:
-            times = []
-            t = machine.time_s
-            for _ in range(n_valid):
-                t = t + dt_s
-                times.append(t)
+        times = tick_grid(machine.time_s, dt_s, n_valid)[1:].tolist()
         machine.span_step(dt_s, n_valid)
         for sid, hub, executed, capacity_ips, pending, charge, b in plan:
             capacity = capacity_ips * dt_s
@@ -623,19 +613,10 @@ class DatabaseEngine:
                 # Growing-balance fast path, mirroring the validity pass:
                 # use is zero on every tick and the balance is a pure
                 # left fold of ``+ charge``, so the per-tick loop
-                # collapses to one accumulate (bit-identical: chained
-                # np.add.accumulate is a strict left-to-right fold) and
-                # the utilization samples — identical except for their
-                # timestamps — append in one bulk call.
-                if n_valid >= 32:
-                    b = float(
-                        np.add.accumulate(
-                            np.concatenate(([b], np.full(n_valid, charge)))
-                        )[-1]
-                    )
-                else:
-                    for _ in range(n_valid):
-                        b = b + charge
+                # collapses to one tick-grid fold and the utilization
+                # samples — identical except for their timestamps —
+                # append in one bulk call.
+                b = float(tick_grid(b, charge, n_valid)[-1])
                 self.utilization.record_span(
                     sid, times, capacity, 0.0, pending_instructions=pending
                 )

@@ -22,8 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import ControlError
 from repro.dbms.engine import DatabaseEngine
 from repro.hardware.perfmodel import WorkloadCharacteristics
@@ -35,6 +33,7 @@ from repro.sim.metrics import SampleAnnotations
 from repro.ecl.calibration import CalibrationResult, MetaCalibrator
 from repro.ecl.socket_ecl import EclParameters, SocketEcl
 from repro.ecl.system_ecl import SystemEcl
+from repro.units import tick_grid
 
 if TYPE_CHECKING:
     from repro.sim.runner import RunConfiguration
@@ -295,9 +294,9 @@ class EnergyControlLoop:
         in-span (no completions), non-fire ticks are pure deadline
         comparisons, and its published time-to-violation is only read at
         the socket loops' interval decisions — which always land on live
-        ticks.  The tick grid is the same left fold of ``+ dt_s`` the
-        engine commits (``np.add.accumulate`` is a strict left-to-right
-        fold), so the fire times match bit for bit.
+        ticks.  The tick grid is the engine's own
+        :func:`~repro.units.tick_grid` fold, so the fire times match bit
+        for bit.
         """
         system = self.system
         # Fast exit with a coarse overestimate of the span end; the 1 ms
@@ -309,9 +308,7 @@ class EnergyControlLoop:
         # itself (the attempt happens where that phase would have run),
         # so the grid starts there — not one tick later, which would
         # fire a check due exactly at the span boundary one tick late.
-        times = np.add.accumulate(
-            np.concatenate(([start_s], np.full(n_ticks - 1, dt_s)))
-        ).tolist()
+        times = tick_grid(start_s, dt_s, n_ticks)[:-1].tolist()
         j = 0
         while True:
             target = system.next_check_s

@@ -9,9 +9,9 @@ The runner charges one increment per tick::
 and a macro span must accumulate exactly the same float sequence as the
 per-tick loop it replaces.  Both paths therefore share one fold: the
 increments are computed vectorized over the span's tick-*start* grid —
-itself built with the ``np.add.accumulate`` trick the machine's span
-clock uses, so the evaluation times match the per-tick ``time_s``
-values bit-for-bit — and reduced with ``np.add.accumulate``, a strict
+the :func:`~repro.units.tick_grid` fold the machine's span clock uses,
+so the evaluation times match the per-tick ``time_s`` values
+bit-for-bit — and reduced with ``np.add.accumulate``, a strict
 sequential left fold identical to repeated ``+=``.  A per-tick call is
 simply the one-element case of the same code.
 
@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.units import tick_grid
 
 if TYPE_CHECKING:
     from repro.environment.scenario import Environment
@@ -68,10 +70,7 @@ class EnvironmentAccounting:
         steady-state validity fold — the same invariant that lets the
         machine hold ``psu_power_w`` fixed over ``span_step``.
         """
-        starts = np.add.accumulate(
-            np.concatenate(([start_s], np.full(n_ticks - 1, dt_s)))
-        )
-        self._fold(starts, dt_s, psu_power_w)
+        self._fold(tick_grid(start_s, dt_s, n_ticks)[:-1], dt_s, psu_power_w)
 
     def _fold(
         self, tick_starts_s: np.ndarray, dt_s: float, psu_power_w: float

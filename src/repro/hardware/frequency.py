@@ -220,17 +220,6 @@ class FrequencyDomains:
         """Control-state version (bumps on any frequency/EPB mutation)."""
         return self._version
 
-    def socket_mutation_version(self, socket_id: int) -> int:
-        """Per-socket change counter for this socket's clock inputs.
-
-        Bumps whenever the socket's own frequency requests or EPB mutate;
-        equal values guarantee every fingerprint input of the socket is
-        unchanged, so per-socket consumers (the machine's one-slot
-        resolve memo) can skip re-deriving clocks for sockets untouched
-        by a reconfiguration elsewhere.
-        """
-        return self._fingerprint_socket_versions[socket_id]
-
     def core_ladder_for(self, socket_id: int) -> FrequencyLadder:
         """The core P-state ladder of one socket (per-node on clusters)."""
         return self._core_ladders[socket_id]

@@ -47,6 +47,7 @@ from repro.hardware.rapl import (
     RaplReading,
 )
 from repro.hardware.topology import Topology
+from repro.units import tick_grid
 
 #: Placeholder characteristics for a socket with no assigned workload.
 IDLE_CHARACTERISTICS = WorkloadCharacteristics(name="idle", base_cpi=1.0)
@@ -315,14 +316,6 @@ class Machine:
         #: keyed by the identity of the cached (performance, power)
         #: resolution — steady states rebuild no result objects.
         self._sres_memo: list[tuple | None] = [None] * socket_count
-        #: One-slot per-socket fast path over :meth:`_resolve_socket`:
-        #: the last resolution together with the monotonic version
-        #: counters it was taken under.  Versions are strictly monotone,
-        #: so equality implies the content fingerprints are unchanged —
-        #: a hit skips fingerprinting and LRU hashing entirely and
-        #: returns the very same (performance, power) objects the LRU
-        #: layers would.  Disabled with the LRUs by ``step_cache_size``.
-        self._resolve_fast: list[tuple | None] = [None] * socket_count
         #: Thermal fast path: True when the last thermal update was a
         #: fixpoint (credit and throttle flags reproduced themselves), so
         #: replaying it under the same dt and unchanged powers is a
@@ -350,6 +343,7 @@ class Machine:
         self._capacity_cache: OrderedDict = OrderedDict()
         self._full_cache: OrderedDict = OrderedDict()
         #: Hit/miss counters for tests and performance introspection.
+        #: ``fast_hits`` is always 0; benchmark readers still report it.
         self.step_cache_stats: dict[str, int] = {
             "full_hits": 0,
             "capacity_hits": 0,
@@ -669,32 +663,16 @@ class Machine:
             bool(self._throttled[socket_id]),
         )
 
-    def _compute_socket(
-        self, sid: int, load: SocketLoad
-    ) -> tuple[SocketPerformance, PowerBreakdown, _CapacityEntry]:
-        """Exact (uncached) per-socket step resolution."""
-        chars = load.characteristics
+    def _resolve_capacity(
+        self, sid: int, chars: WorkloadCharacteristics
+    ) -> _CapacityEntry:
+        """Demand-independent half of a socket's step resolution: the
+        hardware view and the performance capacity it yields."""
         active_cores = tuple(self._active_cores(sid))
         uncore_ghz, uncore_halted = self.resolve_uncore(sid)
-
-        perf = self.perf_model.resolve(active_cores, uncore_ghz, load)
-        parallel = self.perf_model.parallel_throughput_ips(
-            active_cores, uncore_ghz, chars
+        capacity_ips, parallel_ips, bandwidth_limited, contention_limited = (
+            self.perf_model.resolve_capacity(active_cores, uncore_ghz, chars)
         )
-        socket_scale = 0.0 if parallel <= 0 else perf.executed_ips / parallel
-
-        compute_shares = tuple(
-            self.perf_model.core_compute_share(core, uncore_ghz, chars)
-            for core in active_cores
-        )
-        core_states = [
-            CorePowerState(
-                frequency_ghz=core.frequency_ghz,
-                active_sibling_count=core.sibling_count,
-                activity=self.perf_model.activity_from_share(share, socket_scale),
-            )
-            for core, share in zip(active_cores, compute_shares)
-        ]
         # Shallow-parked (C1) cores draw a residual.
         c1_states = []
         for core in self.topology.socket(sid).cores:
@@ -710,90 +688,26 @@ class Machine:
                         shallow=True,
                     )
                 )
-        core_states.extend(c1_states)
-
-        power = self.power_model.socket_power(
-            socket_id=sid,
-            core_states=core_states,
-            uncore_ghz=uncore_ghz,
-            uncore_halted=uncore_halted,
-            traffic_gbs=perf.traffic_gbs,
-        )
-        capacity = _CapacityEntry(
+        return _CapacityEntry(
             active_cores=active_cores,
             uncore_ghz=uncore_ghz,
             uncore_halted=uncore_halted,
             c1_states=tuple(c1_states),
-            capacity_ips=perf.capacity_ips,
-            parallel_ips=parallel,
-            bandwidth_limited=perf.bandwidth_limited,
-            contention_limited=perf.contention_limited,
-            compute_shares=compute_shares,
+            capacity_ips=capacity_ips,
+            parallel_ips=parallel_ips,
+            bandwidth_limited=bandwidth_limited,
+            contention_limited=contention_limited,
+            compute_shares=tuple(
+                self.perf_model.core_compute_share(core, uncore_ghz, chars)
+                for core in active_cores
+            ),
         )
-        return perf, power, capacity
 
-    def _resolve_socket(
-        self, sid: int, load: SocketLoad
-    ) -> tuple[SocketPerformance, PowerBreakdown, float, bool]:
-        """Resolve one socket's step via the memoization layers.
-
-        Two LRU levels, both bit-identical to the uncached path:
-
-        1. *capacity* — the hardware view (active cores with effective
-           clocks, uncore state) and the demand-independent performance
-           resolution per (hardware signature, workload characteristics);
-        2. *full* — the complete (performance, power) pair per (hardware
-           signature, characteristics, demand signature).  Demands at or
-           above capacity all resolve to the same saturated result, so
-           they share one bucket; below capacity the key is the exact
-           demand, and a miss falls back to exact recomputation of the
-           demand-dependent tail.
-        """
-        if self._step_cache_size <= 0:
-            perf, power, capacity = self._compute_socket(sid, load)
-            return perf, power, capacity.uncore_ghz, capacity.uncore_halted
-
-        hw_sig = self._hardware_signature(sid)
-        chars = load.characteristics
-        cap_key = (sid, hw_sig, chars)
-        capacity = _lru_get(self._capacity_cache, cap_key)
-        if capacity is None:
-            self.step_cache_stats["misses"] += 1
-            perf, power, capacity = self._compute_socket(sid, load)
-            size = self._step_cache_size
-            _lru_put(self._capacity_cache, cap_key, capacity, size)
-            demand = load.demand_instructions_per_s
-            demand_key = (
-                None
-                if demand is None or demand >= capacity.capacity_ips
-                else demand
-            )
-            _lru_put(
-                self._full_cache,
-                (sid, hw_sig, chars, demand_key),
-                _FullEntry(performance=perf, power=power),
-                size,
-            )
-            return perf, power, capacity.uncore_ghz, capacity.uncore_halted
-
-        demand = load.demand_instructions_per_s
-        # Saturated demands (>= capacity) all yield the executed == capacity
-        # resolution; they quantize onto one shared bucket (None).
-        demand_key = (
-            None if demand is None or demand >= capacity.capacity_ips else demand
-        )
-        full_key = (sid, hw_sig, chars, demand_key)
-        full = _lru_get(self._full_cache, full_key)
-        if full is not None:
-            self.step_cache_stats["full_hits"] += 1
-            return (
-                full.performance,
-                full.power,
-                capacity.uncore_ghz,
-                capacity.uncore_halted,
-            )
-
-        self.step_cache_stats["capacity_hits"] += 1
+    def _resolve_load(
+        self, sid: int, capacity: _CapacityEntry, load: SocketLoad
+    ) -> tuple[SocketPerformance, PowerBreakdown]:
+        """Demand-dependent half of a socket's step resolution: the
+        executed performance and the power it draws."""
         perf = self.perf_model.resolve_with_capacity(
             capacity.capacity_ips,
             capacity.parallel_ips,
@@ -822,13 +736,62 @@ class Machine:
             uncore_halted=capacity.uncore_halted,
             traffic_gbs=perf.traffic_gbs,
         )
-        _lru_put(
-            self._full_cache,
-            full_key,
-            _FullEntry(performance=perf, power=power),
-            self._step_cache_size,
+        return perf, power
+
+    def _resolve_socket(
+        self, sid: int, load: SocketLoad
+    ) -> tuple[SocketPerformance, PowerBreakdown, float, bool]:
+        """Resolve one socket's step, through two LRU levels.
+
+        1. *capacity* — :meth:`_resolve_capacity` per (hardware
+           signature, workload characteristics);
+        2. *full* — the (performance, power) pair of
+           :meth:`_resolve_load` per (hardware signature,
+           characteristics, demand signature).  Demands at or above
+           capacity all resolve to the same saturated result, so they
+           share one bucket; below capacity the key is the exact demand.
+
+        Both levels store what the exact path computes, so a hit is
+        bit-identical to recomputation; ``step_cache_size <= 0`` runs the
+        two halves uncached.
+        """
+        chars = load.characteristics
+        size = self._step_cache_size
+        if size <= 0:
+            capacity = self._resolve_capacity(sid, chars)
+            perf, power = self._resolve_load(sid, capacity, load)
+            return perf, power, capacity.uncore_ghz, capacity.uncore_halted
+
+        hw_sig = self._hardware_signature(sid)
+        cap_key = (sid, hw_sig, chars)
+        capacity = _lru_get(self._capacity_cache, cap_key)
+        stats = self.step_cache_stats
+        missed = capacity is None
+        if missed:
+            stats["misses"] += 1
+            capacity = self._resolve_capacity(sid, chars)
+            _lru_put(self._capacity_cache, cap_key, capacity, size)
+        demand = load.demand_instructions_per_s
+        # Saturated demands (>= capacity) all yield the executed == capacity
+        # resolution; they quantize onto one shared bucket (None).
+        demand_key = (
+            None if demand is None or demand >= capacity.capacity_ips else demand
         )
-        return perf, power, capacity.uncore_ghz, capacity.uncore_halted
+        full_key = (sid, hw_sig, chars, demand_key)
+        full = None if missed else _lru_get(self._full_cache, full_key)
+        if full is not None:
+            stats["full_hits"] += 1
+        else:
+            if not missed:
+                stats["capacity_hits"] += 1
+            full = _FullEntry(*self._resolve_load(sid, capacity, load))
+            _lru_put(self._full_cache, full_key, full, size)
+        return (
+            full.performance,
+            full.power,
+            capacity.uncore_ghz,
+            capacity.uncore_halted,
+        )
 
     def step(self, dt_s: float) -> StepResult:
         """Advance the machine by ``dt_s`` seconds.
@@ -846,15 +809,11 @@ class Machine:
         self.settle_node_power()
 
         new_time = self._time_s + dt_s
-        now = self._time_s
         retired = self._buf_retired
         rapl_w = self._buf_rapl_w
         totals = self._total_w
         results = self._results
         memo = self._sres_memo
-        fast = self._resolve_fast if self._step_cache_size > 0 else None
-        freq = self.frequency
-        cstates = self.cstates
         npv = self.node_power_version
         # ``changed`` tracks whether any buffer slot or result object can
         # differ from the previous step: False only when every live socket
@@ -865,52 +824,9 @@ class Machine:
         self._last_npv = npv
 
         for sid in self._live_sids:
-            load = self._loads[sid]
-            hit = None
-            if fast is not None:
-                entry = fast[sid]
-                if (
-                    entry is not None
-                    and entry[0] == freq.socket_mutation_version(sid)
-                    and entry[1] == cstates.socket_mutation_version(sid)
-                    and entry[2] == npv
-                    and entry[4] is load.characteristics
-                    and entry[5] == bool(self._throttled[sid])
-                    and entry[3] == freq.turbo_dwell_signature(sid, now)
-                ):
-                    demand = load.demand_instructions_per_s
-                    seen = entry[6]
-                    # Same demand, or both saturated (>= capacity): the
-                    # LRU's shared saturated bucket, without the hashing.
-                    if demand == seen or (
-                        demand is not None
-                        and seen is not None
-                        and demand >= entry[7]
-                        and seen >= entry[7]
-                    ):
-                        hit = entry[8]
-            if hit is not None:
-                # A fast hit is a full-cache hit that skipped the hashing.
-                stats = self.step_cache_stats
-                stats["full_hits"] += 1
-                stats["fast_hits"] += 1
-                perf, power, uncore_ghz, uncore_halted = hit
-            else:
-                perf, power, uncore_ghz, uncore_halted = self._resolve_socket(
-                    sid, load
-                )
-                if fast is not None:
-                    fast[sid] = (
-                        freq.socket_mutation_version(sid),
-                        cstates.socket_mutation_version(sid),
-                        npv,
-                        freq.turbo_dwell_signature(sid, now),
-                        load.characteristics,
-                        bool(self._throttled[sid]),
-                        load.demand_instructions_per_s,
-                        perf.capacity_ips,
-                        (perf, power, uncore_ghz, uncore_halted),
-                    )
+            perf, power, uncore_ghz, uncore_halted = self._resolve_socket(
+                sid, self._loads[sid]
+            )
             cached = memo[sid]
             if (
                 cached is not None
@@ -1089,9 +1005,7 @@ class Machine:
             raise ConfigurationError(f"socket {sid} thermal state is not steady")
 
         t = self._time_s
-        times = np.add.accumulate(
-            np.concatenate(([t], np.full(n_ticks, dt_s)))
-        )[1:]
+        times = tick_grid(t, dt_s, n_ticks)[1:]
         retired = np.empty(self._socket_count)
         rapl_w = np.empty(2 * self._socket_count)
         for sid in self._socket_ids:

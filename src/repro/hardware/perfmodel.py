@@ -332,24 +332,22 @@ class PerformanceModel:
             active_cores, uncore_ghz, SocketLoad(characteristics=chars)
         )
 
-    def resolve(
+    def resolve_capacity(
         self,
         active_cores: Sequence[ActiveCore],
         uncore_ghz: float,
-        load: SocketLoad,
-    ) -> SocketPerformance:
-        """Resolve the executed throughput of a socket for one step."""
-        chars = load.characteristics
+        chars: WorkloadCharacteristics,
+    ) -> tuple[float, float, bool, bool]:
+        """Demand-independent half of :meth:`resolve`.
+
+        Returns ``(capacity_ips, parallel_ips, bandwidth_limited,
+        contention_limited)``: the socket's capacity under its caps, the
+        uncapped sum of per-core throughputs, and which cap was binding.
+        These depend only on the configuration and the workload, so the
+        machine caches them per configuration.
+        """
         if not active_cores:
-            return SocketPerformance(
-                capacity_ips=0.0,
-                executed_ips=0.0,
-                traffic_gbs=0.0,
-                utilization=0.0,
-                bandwidth_limited=False,
-                contention_limited=False,
-                retired_ips=0.0,
-            )
+            return 0.0, 0.0, False, False
 
         p = self._socket_params[active_cores[0].socket_id]
         parallel = sum(
@@ -394,28 +392,20 @@ class PerformanceModel:
         if contention_cap < capacity:
             capacity = contention_cap
             contention_limited = True
+        return capacity, parallel, bandwidth_limited, contention_limited
 
-        demand = load.demand_instructions_per_s
-        executed = capacity if demand is None else min(demand, capacity)
-        utilization = 0.0 if capacity <= 0 else executed / capacity
-        traffic = executed * chars.bytes_per_instr / 1e9
-        retired = executed
-        if (
-            chars.spinlock_retirement
-            and contention_limited
-            and executed >= capacity * (1.0 - 1e-9)
-        ):
-            # Threads blocked on the contended latch spin at full IPC:
-            # the counters retire the *parallel* rate, not the useful one.
-            retired = max(executed, parallel)
-        return SocketPerformance(
-            capacity_ips=capacity,
-            executed_ips=executed,
-            traffic_gbs=traffic,
-            utilization=utilization,
-            bandwidth_limited=bandwidth_limited,
-            contention_limited=contention_limited,
-            retired_ips=retired,
+    def resolve(
+        self,
+        active_cores: Sequence[ActiveCore],
+        uncore_ghz: float,
+        load: SocketLoad,
+    ) -> SocketPerformance:
+        """Resolve the executed throughput of a socket for one step."""
+        return self.resolve_with_capacity(
+            *self.resolve_capacity(
+                active_cores, uncore_ghz, load.characteristics
+            ),
+            load,
         )
 
     def core_compute_share(
@@ -470,14 +460,8 @@ class PerformanceModel:
         contention_limited: bool,
         load: SocketLoad,
     ) -> SocketPerformance:
-        """Demand-dependent tail of :meth:`resolve` from a cached capacity.
-
-        ``capacity_ips``/``parallel_ips`` and the limit flags are
-        demand-independent, so the machine caches them per configuration;
-        this replays the remaining arithmetic of :meth:`resolve` with the
-        exact same operations, making the cached path bit-identical to the
-        uncached one.
-        """
+        """Demand-dependent half of :meth:`resolve`, from the
+        :meth:`resolve_capacity` tuple and the socket's declared load."""
         chars = load.characteristics
         demand = load.demand_instructions_per_s
         executed = capacity_ips if demand is None else min(demand, capacity_ips)
@@ -489,6 +473,8 @@ class PerformanceModel:
             and contention_limited
             and executed >= capacity_ips * (1.0 - 1e-9)
         ):
+            # Threads blocked on the contended latch spin at full IPC:
+            # the counters retire the *parallel* rate, not the useful one.
             retired = max(executed, parallel_ips)
         return SocketPerformance(
             capacity_ips=capacity_ips,
@@ -498,19 +484,6 @@ class PerformanceModel:
             bandwidth_limited=bandwidth_limited,
             contention_limited=contention_limited,
             retired_ips=retired,
-        )
-
-    def parallel_throughput_ips(
-        self,
-        active_cores: Sequence[ActiveCore],
-        uncore_ghz: float,
-        chars: WorkloadCharacteristics,
-        params: HaswellEPParameters | None = None,
-    ) -> float:
-        """Uncapped sum of per-core throughputs (helper for activity)."""
-        return sum(
-            self.core_throughput_ips(core, uncore_ghz, chars, params)
-            for core in active_cores
         )
 
 

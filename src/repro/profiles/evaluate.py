@@ -69,13 +69,13 @@ def measure_configuration(
         for core_id, count in sorted(siblings.items())
     ]
 
-    perf = perf_model.resolve(
-        active_cores,
-        configuration.uncore_ghz,
-        SocketLoad(characteristics=chars, demand_instructions_per_s=None),
-    )
-    parallel = perf_model.parallel_throughput_ips(
+    capacity = perf_model.resolve_capacity(
         active_cores, configuration.uncore_ghz, chars
+    )
+    parallel = capacity[1]
+    perf = perf_model.resolve_with_capacity(
+        *capacity,
+        SocketLoad(characteristics=chars, demand_instructions_per_s=None),
     )
     scale = 0.0 if parallel <= 0 else perf.executed_ips / parallel
 

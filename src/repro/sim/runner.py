@@ -16,6 +16,7 @@ special cases inside the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -99,8 +100,18 @@ class RunConfiguration:
     def __post_init__(self) -> None:
         validate_policy_name(self.policy)
         validate_placement_name(self.placement)
-        if self.tick_s <= 0 or self.sample_every_s <= 0:
-            raise SimulationError("tick and sample periods must be > 0")
+        for name in ("tick_s", "sample_every_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SimulationError(
+                    f"{name} must be a finite period > 0, got {value!r}"
+                )
+        if self.switch_at_s is not None and not math.isfinite(self.switch_at_s):
+            raise SimulationError(
+                f"switch_at_s must be finite, got {self.switch_at_s!r}"
+            )
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if (self.switch_at_s is None) != (self.switch_workload is None):
             raise SimulationError(
                 "switch_at_s and switch_workload must be given together"

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # Scale factors.
 GHZ = 1e9
 """Hertz per gigahertz (for converting GHz clock values to cycles/s)."""
@@ -84,6 +86,20 @@ def require_fraction(value: float, name: str) -> float:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+def tick_grid(start: float, step: float, n: int) -> np.ndarray:
+    """The ``n + 1`` partial sums of ``start + step + step + ...``.
+
+    ``np.add.accumulate`` is a strict left-to-right fold, so element
+    ``k`` is bit-identical to ``k`` repeated ``+= step`` from ``start``
+    — the clock a per-tick loop advances.  For a span of ``n`` ticks the
+    tick starts are ``grid[:-1]``, the tick ends ``grid[1:]`` and the
+    folded total ``grid[-1]``.
+    """
+    grid = np.full(n + 1, step, dtype=np.float64)
+    grid[0] = start
+    return np.add.accumulate(grid)
 
 
 def approx_equal(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:

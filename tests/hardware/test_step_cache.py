@@ -6,13 +6,19 @@ contract: with the cache on (default) every simulation output is
 bit-identical to the exact, uncached path (``step_cache_size=0``).
 """
 
-import pytest
+import dataclasses
 
-from repro.hardware.machine import Machine
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hardware.cluster import NodePowerState, build_cluster
+from repro.hardware.frequency import EnergyPerformanceBias
+from repro.hardware.machine import Machine, SocketStepResult
 from repro.hardware.perfmodel import SocketLoad
 from repro.loadprofiles import sine_profile
 from repro.sim import RunConfiguration, run_experiment
 from repro.workloads import KeyValueWorkload, TatpWorkload, WorkloadVariant
+from repro.workloads.toa import TRANSACTION_ORIENTED_CHARACTERISTICS
 
 
 def config(policy, step_cache_size, workload=None, duration_s=3.0, seed=11):
@@ -104,3 +110,113 @@ def test_machine_steps_bit_identical():
                 a.sockets[sid].executed_instructions
                 == b.sockets[sid].executed_instructions
             )
+
+
+# -- differential: cached vs exact steps over random action sequences ------
+
+_CHARS = (
+    KeyValueWorkload(WorkloadVariant.NON_INDEXED).characteristics,
+    TRANSACTION_ORIENTED_CHARACTERISTICS,
+)
+_DTS = (0.001, 0.4)
+_DEMANDS = ("none", "below", "at", "above")
+
+_load = st.tuples(
+    st.integers(0, 2),  # the mixed 2-node fleet: 2 brawny + 1 wimpy socket
+    st.integers(0, len(_CHARS) - 1),
+    st.sampled_from(_DEMANDS),
+    st.floats(0.05, 0.95),
+)
+_control = st.one_of(
+    st.tuples(st.just("power_off"), st.integers(0, 1)),
+    st.tuples(st.just("power_on"), st.integers(0, 1)),
+    st.tuples(st.just("settle")),
+    st.tuples(st.just("park"), st.integers(0, 10_000), st.booleans()),
+    st.tuples(st.just("unpark"), st.integers(0, 10_000)),
+    st.tuples(
+        st.just("epb"),
+        st.integers(0, 10_000),
+        st.sampled_from(list(EnergyPerformanceBias)),
+    ),
+)
+#: One round: control actions, then load declarations, then one step.
+_round = st.tuples(
+    st.lists(_control, max_size=2),
+    st.lists(_load, max_size=3),
+    st.sampled_from(_DTS),
+)
+
+
+def _control_action(machine, action):
+    kind = action[0]
+    threads = [t.global_id for t in machine.topology.iter_threads()]
+    if kind == "power_off":
+        node = action[1]
+        if machine.node_power_state(node) is NodePowerState.ON:
+            for sid in machine.node_sockets(node):
+                for tid in machine.topology.threads_on_socket(sid):
+                    machine.cstates.park_thread(tid)
+            machine.power_off_node(node)
+    elif kind == "power_on":
+        if machine.node_power_state(action[1]) is NodePowerState.OFF:
+            machine.power_on_node(action[1])
+    elif kind == "settle":
+        machine.settle_node_power()
+    elif kind == "park":
+        machine.cstates.park_thread(
+            threads[action[1] % len(threads)], shallow=action[2]
+        )
+    elif kind == "unpark":
+        machine.cstates.unpark_thread(threads[action[1] % len(threads)])
+    else:
+        machine.frequency.set_epb(threads[action[1] % len(threads)], action[2])
+
+
+def _socket_load(machine, load):
+    """The declared load of one ``_load`` draw; demands are placed
+    relative to the socket's capacity under the current configuration."""
+    sid, chars_index, demand_kind, share = load
+    chars = _CHARS[chars_index]
+    capacity = machine.perf_model.socket_capacity(
+        tuple(machine._active_cores(sid)),
+        machine.resolve_uncore(sid)[0],
+        chars,
+    ).capacity_ips
+    demand = {
+        "none": None,
+        "below": capacity * share,
+        "at": capacity,
+        "above": capacity * (1.0 + share),
+    }[demand_kind]
+    return sid, SocketLoad(characteristics=chars, demand_instructions_per_s=demand)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rounds=st.lists(_round, min_size=1, max_size=20))
+def test_cached_steps_match_exact_over_node_power_transitions(rounds):
+    """Every cache size yields the exact path's step results, field for
+    field, through loads at/around capacity, parking, EPB changes and
+    node power-off/boot/settle transitions."""
+    cluster = build_cluster("mixed", 2)
+    exact = Machine(seed=3, cluster=cluster, step_cache_size=0)
+    machines = [exact] + [
+        Machine(seed=3, cluster=cluster, step_cache_size=size)
+        for size in (1024, 1)
+    ]
+    for controls, loads, dt in rounds:
+        for action in controls:
+            for machine in machines:
+                _control_action(machine, action)
+        for load in loads:
+            sid, socket_load = _socket_load(exact, load)
+            for machine in machines:
+                machine.set_socket_load(sid, socket_load)
+        want, *got = [machine.step(dt) for machine in machines]
+        for step in got:
+            assert step.time_s == want.time_s
+            assert step.psu_power_w == want.psu_power_w
+            for sid, expected in want.sockets.items():
+                for field in dataclasses.fields(SocketStepResult):
+                    assert getattr(step.sockets[sid], field.name) == getattr(
+                        expected, field.name
+                    ), (sid, field.name)

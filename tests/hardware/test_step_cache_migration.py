@@ -1,11 +1,13 @@
 """Step-cache correctness across placement and migration state changes.
 
-The memoized step resolution keys on ``(frequency.version,
-cstates.version, turbo dwell signature, throttle flag)`` plus the
-declared load.  Everything the consolidation/migration path mutates —
-thread parking, socket offline, memory vacate/restore, uncore halt —
-bumps one of those versions, so a cached entry can never be served for a
-socket whose placement state changed.  These tests pin that invariant:
+The memoized step resolution keys on content fingerprints of the
+socket's clock and C-state state (``frequency.state_fingerprint``,
+``cstates.state_fingerprint``), the turbo dwell signature and the
+throttle flag, plus the declared workload and demand.  Everything the
+consolidation/migration path mutates — thread parking, socket offline,
+memory vacate/restore, uncore halt — changes the socket's C-state
+fingerprint, so a cached entry can never be served for a socket whose
+placement state changed.  These tests pin that invariant:
 a machine with the cache enabled must stay bit-identical to one with
 the cache disabled through a full offline → online cycle, both at the
 machine level and end-to-end through ``ecl-consolidate`` with

@@ -26,6 +26,31 @@ class TestConfiguration:
                 workload=kv(), profile=constant_profile(0.5), tick_s=0.0
             )
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tick_s": float("nan")},
+            {"tick_s": float("inf")},
+            {"sample_every_s": float("nan")},
+            {"sample_every_s": float("inf")},
+            {"switch_at_s": float("nan"), "switch_workload": kv()},
+            {"switch_at_s": float("inf"), "switch_workload": kv()},
+            {"seed": -1},
+        ],
+        ids=[
+            "tick_s-nan",
+            "tick_s-inf",
+            "sample_every_s-nan",
+            "sample_every_s-inf",
+            "switch_at_s-nan",
+            "switch_at_s-inf",
+            "seed-negative",
+        ],
+    )
+    def test_malformed_fields_rejected(self, fields):
+        with pytest.raises(SimulationError):
+            RunConfiguration(workload=kv(), profile=constant_profile(0.5), **fields)
+
     def test_switch_needs_both_fields(self):
         with pytest.raises(SimulationError):
             RunConfiguration(

@@ -48,6 +48,19 @@ class TestValidation:
         assert not units.approx_equal(1.0, 1.1)
 
 
+class TestTickGrid:
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 1000])
+    @pytest.mark.parametrize(
+        "start, step", [(0.0, 0.002), (7.123456789, 0.001), (1e6, 1e-7)]
+    )
+    def test_is_the_repeated_add_fold(self, n, start, step):
+        """Bit-identical to the clock a per-tick loop advances."""
+        expected = [start]
+        for _ in range(n):
+            expected.append(expected[-1] + step)
+        assert units.tick_grid(start, step, n).tolist() == expected
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_base(self):
         import inspect
